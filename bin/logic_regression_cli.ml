@@ -170,21 +170,6 @@ let sweep_arg =
         Config.Sweep_off
     & info [ "sweep" ] ~docv:"LEVEL" ~doc)
 
-let kernel_arg =
-  let doc =
-    "Hot-path engine selection: $(b,on) (the default) runs \
-     simulation-heavy phases on the structure-of-arrays kernel with \
-     incremental dirty-cone resimulation and races hard SAT queries over \
-     a deterministic solver portfolio; $(b,off) forces the legacy \
-     tree-walking evaluators. Both settings learn the same circuit, \
-     issue the same queries and emit the same report — $(b,off) exists \
-     for differential testing and benchmarking."
-  in
-  Arg.(
-    value
-    & opt (Arg.enum [ ("on", true); ("off", false) ]) true
-    & info [ "kernel" ] ~docv:"on|off" ~doc)
-
 let jobs_arg =
   let doc =
     "Worker domains for the per-output conquer stage. $(b,1) (the \
@@ -327,20 +312,6 @@ let case_pos =
   let doc = "Benchmark case name (see the list subcommand) or a circuit file path." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CASE" ~doc)
 
-let resolve_box ~budget name =
-  match Cases.find name with
-  | spec -> (Cases.blackbox ?budget spec, Some (Cases.build spec))
-  | exception Not_found ->
-      if Sys.file_exists name then begin
-        let golden =
-          if Filename.check_suffix name ".blif" then
-            Lr_netlist.Blif.read_file name
-          else Io.read_file name
-        in
-        (Box.of_netlist ?budget golden, Some golden)
-      end
-      else failwith (Printf.sprintf "unknown case or file: %s" name)
-
 (* ---------- learn ---------- *)
 
 let describe_matches oc m =
@@ -444,8 +415,7 @@ let json_of_run ~case ~seed ~time_budget ~eval_patterns ~accuracy ~faults
       ("depth", Json.Int stats.N.depth);
       ("queries", Json.Int report.Learner.queries);
       ("elapsed_s", Json.Float report.Learner.elapsed_s);
-      ( "accuracy",
-        match accuracy with Some a -> Json.Float a | None -> Json.Null );
+      ("accuracy", Json.Float accuracy);
       ("eval_patterns", Json.Int eval_patterns);
       ( "time_budget_s",
         match time_budget with Some b -> Json.Float b | None -> Json.Null );
@@ -506,8 +476,8 @@ let print_phase_breakdown oc report =
 
 let learn_run case preset seed budget eval_patterns support_rounds no_templates
     no_grouping out trace trace_jsonl progress metrics metrics_out json history
-    heartbeat time_budget check sweep jobs kernel faults retry_attempts
-    retry_backoff listen alerts log_level log_file =
+    heartbeat time_budget check sweep jobs faults retry_attempts retry_backoff
+    listen alerts log_level log_file =
   (* structured logging is on for the CLI (stderr, human format) so the
      library's warn/error records — and fatal argument errors — have a
      sink from the first line on *)
@@ -559,12 +529,11 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
       check_level = check;
       sweep;
       jobs;
-      kernel;
       retry = Faults.retry ~backoff_s:retry_backoff retry_attempts;
       faults = fault_spec;
     }
   in
-  let box, golden = resolve_box ~budget case in
+  let box, golden = Cases.resolve ?budget case in
   let json_oc =
     match json with
     | Some "-" | None -> None
@@ -689,16 +658,13 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
         (fun f -> Printf.fprintf hout "  %s\n" (Finding.to_string f))
         report.Learner.lint_findings);
   let accuracy =
-    match golden with
-    | Some golden ->
-        let acc =
-          Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
-            ~golden ~candidate:c ()
-        in
-        Printf.fprintf hout "accuracy: %.4f%% on %d patterns\n" (100.0 *. acc)
-          eval_patterns;
-        Some (100.0 *. acc)
-    | None -> None
+    let acc =
+      Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
+        ~golden ~candidate:c ()
+    in
+    Printf.fprintf hout "accuracy: %.4f%% on %d patterns\n" (100.0 *. acc)
+      eval_patterns;
+    100.0 *. acc
   in
   (if json <> None || history <> None then
      let report_json =
@@ -765,7 +731,7 @@ let learn_run case preset seed budget eval_patterns support_rounds no_templates
             help = "Scored accuracy against the golden circuit.";
             kind = `Gauge;
             samples =
-              [ ([], match accuracy with Some a -> a | None -> Float.nan) ];
+              [ ([], accuracy) ];
           };
         ]
       in
@@ -803,9 +769,9 @@ let learn_cmd =
       $ eval_arg $ support_rounds_arg $ no_templates_arg $ no_grouping_arg
       $ out_arg $ trace_arg $ trace_jsonl_arg $ progress_arg $ metrics_arg
       $ metrics_out_arg $ json_arg $ history_arg $ heartbeat_arg
-      $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ kernel_arg
-      $ faults_arg $ retry_arg $ retry_backoff_arg $ listen_arg $ alerts_arg
-      $ log_level_arg $ log_file_arg)
+      $ time_budget_arg $ check_arg $ sweep_arg $ jobs_arg $ faults_arg
+      $ retry_arg $ retry_backoff_arg $ listen_arg $ alerts_arg $ log_level_arg
+      $ log_file_arg)
 
 (* ---------- baseline ---------- *)
 
@@ -816,7 +782,7 @@ let baseline_arg =
   Arg.(value & opt baseline_conv `Id3 & info [ "method" ] ~doc)
 
 let baseline_run case method_ seed budget eval_patterns =
-  let box, golden = resolve_box ~budget case in
+  let box, golden = Cases.resolve ?budget case in
   let rng = Rng.create seed in
   let t0 = Unix.gettimeofday () in
   let c =
@@ -828,14 +794,11 @@ let baseline_run case method_ seed budget eval_patterns =
     (match method_ with `Sop -> "sop" | `Id3 -> "id3")
     case (N.size c) (Box.queries_used box)
     (Unix.gettimeofday () -. t0);
-  (match golden with
-  | Some golden ->
-      let acc =
-        Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
-          ~golden ~candidate:c ()
-      in
-      Printf.printf "accuracy: %.4f%%\n" (100.0 *. acc)
-  | None -> ());
+  let acc =
+    Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919)) ~golden
+      ~candidate:c ()
+  in
+  Printf.printf "accuracy: %.4f%%\n" (100.0 *. acc);
   0
 
 let baseline_cmd =
@@ -870,17 +833,14 @@ let candidate_pos =
   Arg.(required & pos 1 (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
 let score_run case candidate seed eval_patterns =
-  let _, golden = resolve_box ~budget:None case in
-  match golden with
-  | None -> failwith "no golden circuit available"
-  | Some golden ->
-      let c = Io.read_file candidate in
-      let acc =
-        Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919))
-          ~golden ~candidate:c ()
-      in
-      Printf.printf "size=%d accuracy=%.4f%%\n" (N.size c) (100.0 *. acc);
-      0
+  let _, golden = Cases.resolve case in
+  let c = Io.read_file candidate in
+  let acc =
+    Eval.accuracy ~count:eval_patterns ~rng:(Rng.create (seed + 7919)) ~golden
+      ~candidate:c ()
+  in
+  Printf.printf "size=%d accuracy=%.4f%%\n" (N.size c) (100.0 *. acc);
+  0
 
 let score_cmd =
   let doc = "score a learned circuit against a case's golden circuit" in

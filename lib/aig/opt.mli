@@ -13,7 +13,6 @@ val compress :
   ?max_rounds:int ->
   ?fraig_words:int ->
   ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   ?verify:(stage:string -> Aig.t -> Aig.t -> unit) ->
   rng:Lr_bitvec.Rng.t ->
   Aig.t ->
@@ -27,4 +26,8 @@ val compress :
     [verify] is called after every sub-pass with the stage's span name
     (["aig.balance"], ["aig.rewrite"], ["aig.cut-rewrite"], ["aig.fraig"]),
     the input AIG and its result; raise to abort. The checked pipeline mode
-    plugs {!Equiv.check_aig} in here. *)
+    plugs {!Equiv.check_aig} in here.
+
+    [kernel] is a no-op that nothing reads. It stays only because the
+    benchmark's layer replay in [perfbench/] still passes
+    [~kernel:config.Config.kernel] here (see [Config.kernel]). *)

@@ -404,6 +404,19 @@ let build spec =
 let blackbox ?budget ?deadline_s spec =
   Box.of_netlist ?budget ?deadline_s (build spec)
 
+let resolve ?budget name =
+  match find name with
+  | spec -> (blackbox ?budget spec, build spec)
+  | exception Not_found ->
+      if not (Sys.file_exists name) then
+        failwith (Printf.sprintf "unknown case or file: %s" name);
+      let golden =
+        if Filename.check_suffix name ".blif" then
+          Lr_netlist.Blif.read_file name
+        else Lr_netlist.Io.read_file name
+      in
+      (Box.of_netlist ?budget golden, golden)
+
 (* ---------- parametric generator wrappers ---------- *)
 
 let anon_spec seed num_inputs num_outputs category =

@@ -51,6 +51,13 @@ val build : spec -> Lr_netlist.Netlist.t
 val blackbox : ?budget:int -> ?deadline_s:float -> spec -> Lr_blackbox.Blackbox.t
 (** The case wrapped behind the contest query interface. *)
 
+val resolve :
+  ?budget:int -> string -> Lr_blackbox.Blackbox.t * Lr_netlist.Netlist.t
+(** [resolve name] — the black box to learn and its golden circuit, for a
+    case name or, failing that, a circuit file path ([.blif], else the
+    native text format). Raises [Failure] when [name] is neither. The one
+    resolver behind the CLI and the serving daemon. *)
+
 (** {2 Parametric generators}
 
     The building blocks behind the 20 cases, exposed so users can grow

@@ -14,10 +14,8 @@
     [check.verified] / [check.failed] counters, so checking overhead is
     visible in traces and run reports.
 
-    Every entry point takes [?kernel] (default [true]): simulation runs on
-    the {!Lr_kernel.Soa} engine and SAT decisions go through the
-    {!Lr_kernel.Portfolio} racer, both bit-identical to the legacy path;
-    [?pool] shortens hard SAT queries' wall-clock only. *)
+    Simulation runs on the tree-walking evaluators ([Netlist.eval_words],
+    [Aig.simulate]) and every SAT decision on one [Lr_sat.Sat] solver. *)
 
 exception
   Check_failed of {
@@ -32,36 +30,23 @@ val message : stage:string -> output:int -> cex:Lr_bitvec.Bv.t -> detail:string 
     CLI error path. *)
 
 val verify_netlists :
-  stage:string ->
-  ?rng:Lr_bitvec.Rng.t ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
-  Lr_netlist.Netlist.t ->
-  Lr_netlist.Netlist.t ->
-  unit
+  stage:string -> ?rng:Lr_bitvec.Rng.t -> Lr_netlist.Netlist.t ->
+  Lr_netlist.Netlist.t -> unit
 (** [verify_netlists ~stage before after] proves the two circuits
     equivalent ({!Lr_aig.Equiv.check}); on a counterexample, recovers the
     first differing output and raises. *)
 
 val verify_aigs :
-  stage:string ->
-  ?rng:Lr_bitvec.Rng.t ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
-  Lr_aig.Aig.t ->
-  Lr_aig.Aig.t ->
-  unit
+  stage:string -> ?rng:Lr_bitvec.Rng.t -> Lr_aig.Aig.t -> Lr_aig.Aig.t -> unit
 (** Same for two AIGs — the [Opt.compress ~verify] hook. *)
 
 val verify_table :
   stage:string ->
-  ?kernel:bool ->
   circuit:Lr_netlist.Netlist.t ->
   output:int ->
   bits:int ->
   to_full:(int -> Lr_bitvec.Bv.t) ->
   expected:(int -> bool) ->
-  unit ->
   unit
 (** Exhaustively re-simulate a conquered cone: for every table index
     [m < 2^bits], the circuit's [output] on the full input assignment
@@ -71,8 +56,6 @@ val verify_table :
 val verify_cover :
   stage:string ->
   ?rng:Lr_bitvec.Rng.t ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   circuit:Lr_netlist.Netlist.t ->
   output:int ->
   vars:Lr_netlist.Netlist.node array ->

@@ -94,6 +94,5 @@ let with_time_budget time_budget_s t = { t with time_budget_s }
 let with_check check_level t = { t with check_level }
 let with_sweep sweep t = { t with sweep }
 let with_jobs jobs t = { t with jobs }
-let with_kernel kernel t = { t with kernel }
 let with_retry retry t = { t with retry }
 let with_faults faults t = { t with faults }

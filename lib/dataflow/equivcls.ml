@@ -2,7 +2,6 @@ module N = Lr_netlist.Netlist
 module Sat = Lr_sat.Sat
 module Rng = Lr_bitvec.Rng
 module Instr = Lr_instr.Instr
-module Soa = Lr_kernel.Soa
 
 (* Union-find over nodes with a phase bit relative to the parent; roots
    are the smallest node id of their class (same discipline as the AIG
@@ -101,8 +100,7 @@ let sim_nodes c words =
   done;
   v
 
-let compute ?(words = 16) ?(max_rounds = 32) ?(max_sat_checks = 2000)
-    ?(kernel = true) ~rng c =
+let compute ?(words = 16) ?(max_rounds = 32) ?(max_sat_checks = 2000) ~rng c =
   let n = N.num_nodes c in
   let ni = N.num_inputs c in
   let uf = Uf.create (max n 1) in
@@ -114,32 +112,6 @@ let compute ?(words = 16) ?(max_rounds = 32) ?(max_sat_checks = 2000)
   for _ = 1 to words do
     blocks := Array.init ni (fun _ -> Rng.bits64 rng) :: !blocks
   done;
-  (* the netlist is frozen during [compute] and blocks are only prepended:
-     in kernel mode each block is simulated once and its node values are
-     reused across refinement rounds (the sim counter still advances as if
-     every block were resimulated, so run reports stay identical) *)
-  let soa = if kernel then Some (Soa.of_netlist c) else None in
-  let sim_cache = ref [] in
-  let cached_len = ref 0 in
-  let simulate_blocks () =
-    match soa with
-    | None -> List.map (fun blk -> sim_nodes c blk) !blocks
-    | Some soa ->
-        let total = List.length !blocks in
-        let rec take k l =
-          if k = 0 then []
-          else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl
-        in
-        let fresh =
-          List.map (fun blk -> Soa.node_values soa blk)
-            (take (total - !cached_len) !blocks)
-        in
-        Instr.count "dataflow.sim-words" (total * n);
-        Instr.count "kernel.sim-cached-words" (!cached_len * n);
-        sim_cache := fresh @ !sim_cache;
-        cached_len := total;
-        !sim_cache
-  in
   let refuted_pairs = Hashtbl.create 256 in
   let prove_equal a b phase =
     (* a = b xor phase?  UNSAT of the miter under the right assumption *)
@@ -173,7 +145,8 @@ let compute ?(words = 16) ?(max_rounds = 32) ?(max_sat_checks = 2000)
     incr round;
     progress := false;
     let sims =
-      Instr.span ~name:"dataflow.sim" (fun () -> simulate_blocks ())
+      Instr.span ~name:"dataflow.sim" (fun () ->
+          List.map (fun blk -> sim_nodes c blk) !blocks)
     in
     let signature node = List.map (fun v -> v.(node)) sims in
     let canon sig_ =

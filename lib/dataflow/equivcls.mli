@@ -42,13 +42,9 @@ val compute :
   ?words:int ->
   ?max_rounds:int ->
   ?max_sat_checks:int ->
-  ?kernel:bool ->
   rng:Lr_bitvec.Rng.t ->
   N.t ->
   t
 (** [words] initial random pattern words (default 16), [max_rounds]
     refinement rounds (default 32), [max_sat_checks] SAT budget (default
-    2000). Deterministic for a fixed [rng] state. [kernel] (default
-    [true]) simulates on the {!Lr_kernel.Soa} engine and caches each
-    block's node values across rounds — signatures, classes and SAT
-    trajectory are bit-identical either way. *)
+    2000). Deterministic for a fixed [rng] state. *)

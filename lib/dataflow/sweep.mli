@@ -46,7 +46,6 @@ val run :
   ?max_sat_checks:int ->
   ?max_odc_checks:int ->
   ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
   ?verify:(stage:string -> N.t -> N.t -> unit) ->
   rng:Lr_bitvec.Rng.t ->
   N.t ->
@@ -55,13 +54,9 @@ val run :
     (equivalence-class budget per merge stage), [max_odc_checks = 24]
     (SAT budget of the ODC stage). [Const_prop] runs only [sweep.const].
 
-    [kernel] (default [true]) runs simulation on the {!Lr_kernel} SoA
-    engine: the merge stage reuses cached block signatures, and the ODC
-    candidate filter resimulates only the rewritten node's fanout cone on
-    a dirty-cone incremental engine instead of every higher node. SAT
-    proofs race through the {!Lr_kernel.Portfolio}. The rewrites applied
-    and the resulting netlist are bit-identical with the kernel on or
-    off; [pool] affects wall-clock only. *)
+    [kernel] is a no-op that nothing reads. It stays only because the
+    benchmark's layer replay in [perfbench/] still passes
+    [~kernel:config.Config.kernel] here (see [Config.kernel]). *)
 
 (**/**)
 
@@ -70,12 +65,7 @@ val xor_action : N.t -> N.node -> Rebuild.action
     ([Keep] when the node is not a recoverable XOR/XNOR tree). *)
 
 val odc_candidates :
-  ?max_sat_checks:int ->
-  ?kernel:bool ->
-  ?pool:Lr_par.Par.pool ->
-  rng:Lr_bitvec.Rng.t ->
-  N.t ->
-  (N.node * N.node * bool) list
+  ?max_sat_checks:int -> rng:Lr_bitvec.Rng.t -> N.t -> (N.node * N.node * bool) list
 (** Exposed for the semantic lint: proven ODC resubstitutions
     [(node, replacement, phase)] on the given netlist, without applying
     them (each proven against the {e unmodified} netlist). *)

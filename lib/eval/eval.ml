@@ -2,15 +2,6 @@ module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
 module Instr = Lr_instr.Instr
-module Soa = Lr_kernel.Soa
-
-(* eval_many through the SoA kernel or the tree-walking reference; both
-   tick the same sim counters, so reports cannot tell them apart *)
-let runner kernel c =
-  if kernel then
-    let soa = Soa.of_netlist c in
-    fun patterns -> Soa.eval_many soa patterns
-  else fun patterns -> N.eval_many c patterns
 
 let mixture ~rng ~num_inputs ~count =
   let third = (count + 2) / 3 in
@@ -26,28 +17,27 @@ let check_shapes golden candidate =
     || N.num_outputs golden <> N.num_outputs candidate
   then invalid_arg "Eval: golden and candidate shapes differ"
 
-let accuracy_on ?(kernel = true) ~patterns ~golden ~candidate () =
+let accuracy_on ~patterns ~golden ~candidate () =
   check_shapes golden candidate;
   Instr.span ~name:"eval.accuracy" @@ fun () ->
   Instr.count "eval.patterns" (Array.length patterns);
-  let want = runner kernel golden patterns in
-  let got = runner kernel candidate patterns in
+  let want = N.eval_many golden patterns in
+  let got = N.eval_many candidate patterns in
   let hits = ref 0 in
   Array.iteri (fun i w -> if Bv.equal w got.(i) then incr hits) want;
   Float.of_int !hits /. Float.of_int (max 1 (Array.length patterns))
 
-let accuracy ?(count = 30_000) ?kernel ~rng ~golden ~candidate () =
+let accuracy ?(count = 30_000) ~rng ~golden ~candidate () =
   let patterns = mixture ~rng ~num_inputs:(N.num_inputs golden) ~count in
-  accuracy_on ?kernel ~patterns ~golden ~candidate ()
+  accuracy_on ~patterns ~golden ~candidate ()
 
 type stats = { mean : float; std : float; lo95 : float; hi95 : float; runs : int }
 
-let accuracy_stats ?(runs = 5) ?(count = 10_000) ?kernel ~rng ~golden
-    ~candidate () =
+let accuracy_stats ?(runs = 5) ?(count = 10_000) ~rng ~golden ~candidate () =
   if runs < 2 then invalid_arg "Eval.accuracy_stats: need at least 2 runs";
   let samples =
     List.init runs (fun _ ->
-        accuracy ~count ?kernel ~rng:(Rng.split rng) ~golden ~candidate ())
+        accuracy ~count ~rng:(Rng.split rng) ~golden ~candidate ())
   in
   let n = Float.of_int runs in
   let mean = List.fold_left ( +. ) 0.0 samples /. n in
@@ -59,11 +49,11 @@ let accuracy_stats ?(runs = 5) ?(count = 10_000) ?kernel ~rng ~golden
   let half = 1.96 *. std /. Float.sqrt n in
   { mean; std; lo95 = mean -. half; hi95 = mean +. half; runs }
 
-let per_output_accuracy ?(kernel = true) ~patterns ~golden ~candidate () =
+let per_output_accuracy ~patterns ~golden ~candidate =
   check_shapes golden candidate;
   let no = N.num_outputs golden in
-  let want = runner kernel golden patterns in
-  let got = runner kernel candidate patterns in
+  let want = N.eval_many golden patterns in
+  let got = N.eval_many candidate patterns in
   let hits = Array.make no 0 in
   Array.iteri
     (fun i w ->

@@ -14,33 +14,29 @@ val mixture :
 
 val accuracy :
   ?count:int ->
-  ?kernel:bool ->
   rng:Lr_bitvec.Rng.t ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->
   unit ->
   float
 (** Hit rate in [0, 1]. Default [count] is 30_000. Requires identical
-    PI/PO counts. [kernel] (default [true]) scores on the {!Lr_kernel.Soa}
-    engine — bit-identical results and sim counters, materially faster on
-    large pattern sets. *)
+    PI/PO counts. Scoring runs on [Netlist.eval_many]. *)
 
 val accuracy_on :
-  ?kernel:bool ->
   patterns:Lr_bitvec.Bv.t array ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->
   unit ->
   float
 (** Same, over a caller-supplied pattern set (so several candidates can be
-    scored against the very same patterns). *)
+    scored against the very same patterns). The trailing [unit] is a
+    leftover of a removed optional engine switch, kept so existing callers
+    (the benchmark replay among them) still compile. *)
 
 val per_output_accuracy :
-  ?kernel:bool ->
   patterns:Lr_bitvec.Bv.t array ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->
-  unit ->
   float array
 (** Hit rate of each output separately — diagnostic, not a contest metric. *)
 
@@ -55,7 +51,6 @@ type stats = {
 val accuracy_stats :
   ?runs:int ->
   ?count:int ->
-  ?kernel:bool ->
   rng:Lr_bitvec.Rng.t ->
   golden:Lr_netlist.Netlist.t ->
   candidate:Lr_netlist.Netlist.t ->

@@ -2,9 +2,7 @@ module Bv = Lr_bitvec.Bv
 module N = Lr_netlist.Netlist
 module Instr = Lr_instr.Instr
 
-(* Opcode byte layout: low 4 bits select the operation, bit 4 complements
-   the first operand, bit 5 the second. Complement flags let an AIG import
-   stay one node per AND with the literal phases folded into the opcode. *)
+(* One opcode byte per node, selecting the operation. *)
 let op_const0 = 0
 let op_const1 = 1
 let op_input = 2
@@ -15,8 +13,6 @@ let op_xor = 6
 let op_nand = 7
 let op_nor = 8
 let op_xnor = 9
-let flag_neg0 = 0x10
-let flag_neg1 = 0x20
 
 type t = {
   nn : int;
@@ -28,8 +24,6 @@ type t = {
   sched : int array;  (* level-major evaluation order *)
   level_off : int array;  (* batch boundaries into [sched] *)
   outputs : int array;  (* node per primary output *)
-  out_neg : bool array;
-  readers : int list array;  (* per input index: nodes reading it, ascending *)
 }
 
 let num_nodes t = t.nn
@@ -38,24 +32,23 @@ let num_outputs t = t.no
 let num_levels t = Array.length t.level_off - 1
 let schedule t = t.sched
 let level_offsets t = t.level_off
-let input_readers t i = t.readers.(i)
 let arg0 t n = t.arg0.(n)
 let arg1 t n = t.arg1.(n)
 
 let opcode t n = Char.code (Bytes.get t.op n)
-let depends_on_arg0 t n = opcode t n land 0xf >= op_not
-let depends_on_arg1 t n = opcode t n land 0xf >= op_and
+let depends_on_arg0 t n = opcode t n >= op_not
+let depends_on_arg1 t n = opcode t n >= op_and
 
 (* ---------------- construction ---------------- *)
 
-let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg =
+let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs =
   let nn = Bytes.length op in
   (* longest-path levels; fanins always point at earlier node ids, so one
      ascending pass suffices *)
   let level = Array.make nn 0 in
   let max_level = ref 0 in
   for n = 0 to nn - 1 do
-    let c = Char.code (Bytes.get op n) land 0xf in
+    let c = Char.code (Bytes.get op n) in
     let l =
       if c < op_not then 0
       else if c = op_not then 1 + level.(arg0.(n))
@@ -81,12 +74,7 @@ let finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg =
     sched.(cursor.(level.(n))) <- n;
     cursor.(level.(n)) <- cursor.(level.(n)) + 1
   done;
-  let readers = Array.make ni [] in
-  for n = nn - 1 downto 0 do
-    if Char.code (Bytes.get op n) land 0xf = op_input then
-      readers.(arg0.(n)) <- n :: readers.(arg0.(n))
-  done;
-  { nn; ni; no; op; arg0; arg1; sched; level_off; outputs; out_neg; readers }
+  { nn; ni; no; op; arg0; arg1; sched; level_off; outputs }
 
 let of_netlist c =
   let nn = N.num_nodes c in
@@ -114,52 +102,7 @@ let of_netlist c =
     arg1.(n) <- b
   done;
   let outputs = Array.init no (N.output c) in
-  finish ~ni ~no ~op ~arg0 ~arg1 ~outputs ~out_neg:(Array.make no false)
-
-let of_ands ~num_inputs:ni ~num_outputs:no ~ands ~outputs =
-  let nn = 1 + ni + Array.length ands in
-  let op = Bytes.make nn (Char.chr op_const0) in
-  let arg0 = Array.make nn 0 in
-  let arg1 = Array.make nn 0 in
-  for i = 0 to ni - 1 do
-    Bytes.set op (1 + i) (Char.chr op_input);
-    arg0.(1 + i) <- i
-  done;
-  Array.iteri
-    (fun k (l0, l1) ->
-      let n = 1 + ni + k in
-      let code =
-        op_and
-        lor (if l0 land 1 = 1 then flag_neg0 else 0)
-        lor if l1 land 1 = 1 then flag_neg1 else 0
-      in
-      Bytes.set op n (Char.chr code);
-      arg0.(n) <- l0 lsr 1;
-      arg1.(n) <- l1 lsr 1)
-    ands;
-  let out_nodes = Array.map (fun l -> l lsr 1) outputs in
-  let out_neg = Array.map (fun l -> l land 1 = 1) outputs in
-  finish ~ni ~no ~op ~arg0 ~arg1 ~outputs:out_nodes ~out_neg
-
-(* ---------------- cones ---------------- *)
-
-let fanout_cone t seeds =
-  let cone = Array.make t.nn false in
-  List.iter
-    (fun n ->
-      if n < 0 || n >= t.nn then invalid_arg "Soa.fanout_cone: bad node";
-      cone.(n) <- true)
-    seeds;
-  (* one pass in schedule order: fanins live in earlier batches *)
-  Array.iter
-    (fun n ->
-      if not cone.(n) then
-        if
-          (depends_on_arg0 t n && cone.(t.arg0.(n)))
-          || (depends_on_arg1 t n && cone.(t.arg1.(n)))
-        then cone.(n) <- true)
-    t.sched;
-  cone
+  finish ~ni ~no ~op ~arg0 ~arg1 ~outputs
 
 (* ---------------- simulation ---------------- *)
 
@@ -169,18 +112,16 @@ let eval_into t v words =
     let n = Array.unsafe_get sched k in
     let c = Char.code (Bytes.unsafe_get op n) in
     let w =
-      if c land 0xf < op_and then
-        match c land 0xf with
+      if c < op_and then
+        match c with
         | 0 -> 0L
         | 1 -> -1L
         | 2 -> Array.unsafe_get words (Array.unsafe_get a0 n)
         | _ -> Int64.lognot (Array.unsafe_get v (Array.unsafe_get a0 n))
       else begin
         let x = Array.unsafe_get v (Array.unsafe_get a0 n) in
-        let x = if c land flag_neg0 <> 0 then Int64.lognot x else x in
         let y = Array.unsafe_get v (Array.unsafe_get a1 n) in
-        let y = if c land flag_neg1 <> 0 then Int64.lognot y else y in
-        match c land 0xf with
+        match c with
         | 4 -> Int64.logand x y
         | 5 -> Int64.logor x y
         | 6 -> Int64.logxor x y
@@ -199,9 +140,8 @@ let eval_wide_into t v words ~width =
   let sched = t.sched and op = t.op and a0 = t.arg0 and a1 = t.arg1 in
   for k = 0 to Array.length sched - 1 do
     let n = Array.unsafe_get sched k in
-    let c = Char.code (Bytes.unsafe_get op n) in
+    let code = Char.code (Bytes.unsafe_get op n) in
     let base = n * width in
-    let code = c land 0xf in
     if code < op_and then
       match code with
       | 0 ->
@@ -226,12 +166,9 @@ let eval_wide_into t v words ~width =
     else begin
       let s0 = Array.unsafe_get a0 n * width in
       let s1 = Array.unsafe_get a1 n * width in
-      let n0 = c land flag_neg0 <> 0 and n1 = c land flag_neg1 <> 0 in
       for w = 0 to width - 1 do
         let x = Array.unsafe_get v (s0 + w) in
-        let x = if n0 then Int64.lognot x else x in
         let y = Array.unsafe_get v (s1 + w) in
-        let y = if n1 then Int64.lognot y else y in
         Array.unsafe_set v (base + w)
           (match code with
           | 4 -> Int64.logand x y
@@ -244,49 +181,13 @@ let eval_wide_into t v words ~width =
     end
   done
 
-(* Evaluate one node against live value/input arrays — the incremental
-   engine's per-node step; semantics identical to [eval_into]'s body. *)
-let eval_node t v words n =
-  let c = Char.code (Bytes.get t.op n) in
-  if c land 0xf < op_and then
-    match c land 0xf with
-    | 0 -> 0L
-    | 1 -> -1L
-    | 2 -> words.(t.arg0.(n))
-    | _ -> Int64.lognot v.(t.arg0.(n))
-  else begin
-    let x = v.(t.arg0.(n)) in
-    let x = if c land flag_neg0 <> 0 then Int64.lognot x else x in
-    let y = v.(t.arg1.(n)) in
-    let y = if c land flag_neg1 <> 0 then Int64.lognot y else y in
-    match c land 0xf with
-    | 4 -> Int64.logand x y
-    | 5 -> Int64.logor x y
-    | 6 -> Int64.logxor x y
-    | 7 -> Int64.lognot (Int64.logand x y)
-    | 8 -> Int64.lognot (Int64.logor x y)
-    | _ -> Int64.lognot (Int64.logxor x y)
-  end
-
-let node_values t words =
-  if Array.length words <> t.ni then
-    invalid_arg "Soa.node_values: wrong input count";
-  let v = Array.make (max 1 t.nn) 0L in
-  eval_into t v words;
-  v
-
-let outputs_of_values t v =
-  Array.init t.no (fun o ->
-      let w = v.(t.outputs.(o)) in
-      if t.out_neg.(o) then Int64.lognot w else w)
-
 let eval_words t words =
   if Array.length words <> t.ni then
     invalid_arg "Soa.eval_words: wrong number of input words";
   Instr.count "sim.gate-words" t.nn;
   let v = Array.make (max 1 t.nn) 0L in
   eval_into t v words;
-  outputs_of_values t v
+  Array.map (fun n -> v.(n)) t.outputs
 
 (* Up to this many 64-pattern blocks share one pass over the schedule. *)
 let max_width = 8
@@ -318,12 +219,10 @@ let eval_many t patterns =
     eval_wide_into t v words ~width;
     for o = 0 to t.no - 1 do
       let src = t.outputs.(o) * width in
-      let neg = t.out_neg.(o) in
       for w = 0 to width - 1 do
         let base = base_pat + (w * 64) in
         let cnt = min 64 (np - base) in
         let word = v.(src + w) in
-        let word = if neg then Int64.lognot word else word in
         for k = 0 to cnt - 1 do
           Bv.set results.(base + k) o
             (Int64.logand (Int64.shift_right_logical word k) 1L = 1L)

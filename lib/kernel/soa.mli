@@ -1,34 +1,25 @@
 (** Structure-of-arrays circuit simulation kernel.
 
     A compiled, cache-friendly form of a combinational circuit: one flat
-    opcode byte per node (with operand-complement flags), flat [int array]
-    fanins, and a topologically batched evaluation schedule. Simulation
-    walks the schedule with word-parallel (64 patterns/word) operations and
-    no per-node allocation — the tree-walking evaluators in [Lr_netlist]
-    and [Lr_aig] remain the reference semantics, and every entry point here
-    is bit-identical to them (the differential properties in [test/prop.ml]
-    pin this down).
+    opcode byte per node, flat [int array] fanins, and a topologically
+    batched evaluation schedule. Simulation walks the schedule with
+    word-parallel (64 patterns/word) operations and no per-node allocation.
 
-    Node ids are preserved by {!of_netlist} (node [n] here is node [n] of
-    the source netlist), which is what lets the incremental engine and the
-    sweep's ODC verification exchange node sets with the netlist layer. *)
+    Nothing in the production pipeline runs on this module: the
+    tree-walking evaluators in [Lr_netlist] and [Lr_aig] are the only
+    engines, because they measured faster end to end. [Soa] stays as the
+    candidate for a future unboxed engine; the benchmark's per-layer
+    replay times it against [Netlist.eval_words], and the differential
+    properties in [test/prop.ml] pin it bit-identical to that reference.
+
+    Node ids are preserved by {!of_netlist}: node [n] here is node [n] of
+    the source netlist. *)
 
 type t
 
 val of_netlist : Lr_netlist.Netlist.t -> t
 (** Compile a netlist. Bit-identical node semantics to
     [Netlist.eval_words], including unreachable nodes. *)
-
-val of_ands :
-  num_inputs:int ->
-  num_outputs:int ->
-  ands:(int * int) array ->
-  outputs:int array ->
-  t
-(** Compile an AIG given in literal form: node 0 is constant false, nodes
-    [1..num_inputs] the inputs, node [num_inputs+1+k] the AND over the two
-    literals [ands.(k)] (literal = [2*node + phase]); [outputs] are
-    literals. Matches [Aig.simulate_nodes] semantics exactly. *)
 
 val num_nodes : t -> int
 val num_inputs : t -> int
@@ -45,9 +36,6 @@ val schedule : t -> int array
 val level_offsets : t -> int array
 (** [num_levels + 1] offsets into {!schedule} delimiting the batches. *)
 
-val input_readers : t -> int -> int list
-(** The nodes that read primary input [i], ascending. *)
-
 val depends_on_arg0 : t -> int -> bool
 val depends_on_arg1 : t -> int -> bool
 (** Whether the node's opcode reads the first / second fanin slot as a
@@ -57,27 +45,6 @@ val depends_on_arg1 : t -> int -> bool
 val arg0 : t -> int -> int
 val arg1 : t -> int -> int
 
-val fanout_cone : t -> int list -> bool array
-(** Transitive fanout of the seed nodes, seeds included — the set a value
-    change at the seeds can reach. *)
-
-val eval_node : t -> int64 array -> int64 array -> int -> int64
-(** [eval_node t vals words n] — the value of node [n] given live node
-    values and input words; the incremental engine's per-node step. *)
-
-val eval_into : t -> int64 array -> int64 array -> unit
-(** [eval_into t vals words] — simulate one 64-pattern block into the
-    caller-owned [vals] (length {!num_nodes}); [words] has one word per
-    input. No allocation. *)
-
-val node_values : t -> int64 array -> int64 array
-(** One word per node for one block — bit-identical to
-    [Aig.simulate_nodes] / the netlist evaluators' internal value array. *)
-
-val outputs_of_values : t -> int64 array -> int64 array
-(** Project output words (with output complement flags applied) from a
-    node-value array. *)
-
 val eval_words : t -> int64 array -> int64 array
 (** Drop-in for [Netlist.eval_words]: same output words, same
     ["sim.gate-words"] accounting. *)
@@ -85,4 +52,4 @@ val eval_words : t -> int64 array -> int64 array
 val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Drop-in for [Netlist.eval_many]: same results, same ["sim.patterns"]
     accounting. Internally simulates several 64-pattern blocks per pass
-    over the schedule (wide blocks), which is where the cache win lives. *)
+    over the schedule (wide blocks). *)

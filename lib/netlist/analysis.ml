@@ -42,22 +42,6 @@ let functional_support c ~output =
   let structural = Array.of_list structural in
   Bdd.support man f |> List.map (fun j -> structural.(j))
 
-let fanout_cone c seeds =
-  let n = Netlist.num_nodes c in
-  let cone = Array.make n false in
-  List.iter
-    (fun s ->
-      if s < 0 || s >= n then invalid_arg "Analysis.fanout_cone: bad node";
-      cone.(s) <- true)
-    seeds;
-  (* nodes are topologically ordered, so one ascending pass closes the set *)
-  for k = 0 to n - 1 do
-    if not cone.(k) then
-      if List.exists (fun a -> cone.(a)) (Netlist.fanins (Netlist.gate c k))
-      then cone.(k) <- true
-  done;
-  cone
-
 let output_density ?(patterns = 65_536) ~rng c ~output =
   let ni = Netlist.num_inputs c in
   let blocks = (patterns + 63) / 64 in

@@ -16,12 +16,6 @@ val functional_support : Netlist.t -> output:int -> int list
     decided exactly with a BDD of the output cone. Exponential worst case;
     intended for cones of moderate structural support (< ~40 PIs). *)
 
-val fanout_cone : Netlist.t -> Netlist.node list -> bool array
-(** Transitive fanout of the seed nodes, seeds included — the set of
-    nodes whose value an update at the seeds can change. The dual of
-    {!Netlist.reachable_from} (which walks fanins), and the reference
-    semantics for [Lr_kernel.Soa.fanout_cone]. *)
-
 val output_density :
   ?patterns:int -> rng:Lr_bitvec.Rng.t -> Netlist.t -> output:int -> float
 (** Monte-Carlo estimate of the output's truth density (share of 1s under

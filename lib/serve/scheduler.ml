@@ -5,8 +5,6 @@ module Box = Lr_blackbox.Blackbox
 module Cases = Lr_cases.Cases
 module N = Lr_netlist.Netlist
 module Io = Lr_netlist.Io
-module Bv = Lr_bitvec.Bv
-module Rng = Lr_bitvec.Rng
 module Equiv = Lr_aig.Equiv
 module Learner = Logic_regression.Learner
 module Progress = Lr_prof.Progress
@@ -55,24 +53,8 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* ---------- box resolution (mirrors the CLI's resolve_box) ---------- *)
-
-let resolve (spec : Proto.spec) =
-  match Cases.find spec.case with
-  | cspec ->
-      ( Cases.blackbox ?budget:spec.budget cspec,
-        Some (Cases.build cspec) )
-  | exception Not_found ->
-      if Sys.file_exists spec.case then begin
-        let golden =
-          if Filename.check_suffix spec.case ".blif" then
-            Lr_netlist.Blif.read_file spec.case
-          else Io.read_file spec.case
-        in
-        (Box.of_netlist ?budget:spec.budget golden, Some golden)
-      end
-      else failwith (Printf.sprintf "unknown case or file: %s" spec.case)
-
+(* a cheap submit-time check; [Cases.resolve] does the real work on the
+   worker *)
 let case_known (spec : Proto.spec) =
   match Cases.find spec.case with
   | _ -> true
@@ -95,31 +77,15 @@ let progress_seq t job = locked t (fun () -> Http.ring_next_seq job.progress)
 
 (* ---------- cache-hit verification ---------- *)
 
-(* No reference netlist (file-less boxes): compare the cached circuit
-   against the live box on a fresh probe stream — distinct from the
-   fingerprint's, so a lookup is never "verified" by the very samples
-   that built the key. *)
-let sampled_equal box cached ~seed ~words =
-  let n = Box.num_inputs box in
-  match Box.of_netlist cached with
-  | exception _ -> false
-  | cbox ->
-      let rng = Rng.create (seed lxor 0x6c725f66) in
-      let patterns = Array.init (64 * words) (fun _ -> Bv.random rng n) in
-      let a = Box.probe_many box patterns in
-      let b = Box.probe_many cbox patterns in
-      Array.for_all2 Bv.equal a b
-
+(* every resolved box has a golden netlist, so a hit is always proven by
+   full CEC against it *)
 let verify_hit box golden cached =
   N.num_inputs cached = Box.num_inputs box
   && N.num_outputs cached = Box.num_outputs box
   &&
-  match golden with
-  | Some g -> (
-      match Equiv.check cached g with
-      | Equiv.Equivalent -> true
-      | Equiv.Counterexample _ -> false)
-  | None -> sampled_equal box cached ~seed:0x51f1 ~words:4
+  match Equiv.check cached golden with
+  | Equiv.Equivalent -> true
+  | Equiv.Counterexample _ -> false
 
 (* On a hit the stored report (the original learn's) is re-stamped for
    the requesting job; everything describing the circuit stays. *)
@@ -146,7 +112,7 @@ let patch_report report ~job_id ~tenant =
 let run_job t job =
   let spec = job.spec in
   try
-    let box, golden = resolve spec in
+    let box, golden = Cases.resolve ?budget:spec.budget spec.case in
     let fingerprint = Fingerprint.probe ~words:t.fp_words box in
     let names_sig = Fingerprint.names_signature box in
     let key =

@@ -35,8 +35,6 @@ module Equiv = Lr_aig.Equiv
 module Fp = Lr_serve.Fingerprint
 module Scache = Lr_serve.Cache
 module Soa = Lr_kernel.Soa
-module Incr = Lr_kernel.Incremental
-module Ksim = Lr_aig.Ksim
 
 (* ---------------- the harness ---------------- *)
 
@@ -292,9 +290,9 @@ let prop_evaluators_agree () =
 (* ---------------- SoA kernel differentials ---------------- *)
 
 (* the compiled kernel against the tree-walking reference, over random
-   recipes x random pattern blocks: every entry point the learner routes
-   through [Lr_kernel.Soa] must be bit-identical to the legacy
-   evaluator it replaced *)
+   recipes x random pattern blocks: both simulation entry points of
+   [Lr_kernel.Soa] must be bit-identical to the evaluators the pipeline
+   runs on *)
 let prop_soa_netlist_identical () =
   check_prop "Soa.of_netlist == Netlist evaluators" arb_recipe (fun r ->
       let c = build_netlist r in
@@ -315,58 +313,6 @@ let prop_soa_netlist_identical () =
       Array.length reference = Array.length kernel
       && Array.for_all2 Bv.equal reference kernel)
 
-let prop_soa_aig_identical () =
-  check_prop "Ksim.soa_of_aig == Aig.simulate" arb_recipe (fun r ->
-      let aig = build_aig r in
-      let s = Ksim.soa_of_aig aig in
-      let rng = Rng.create 43 in
-      List.for_all
-        (fun _ ->
-          let w = words rng r.ni in
-          let vals = Soa.node_values s w in
-          vals = Aig.simulate_nodes aig w
-          && Soa.outputs_of_values s vals = Aig.simulate aig w)
-        (List.init 4 Fun.id))
-
-(* a full reference simulation with one node pinned, in schedule order —
-   the semantics [Incremental.with_forced] promises to match *)
-let forced_reference s wordsv node w =
-  let vals = Array.make (max 1 (Soa.num_nodes s)) 0L in
-  Array.iter
-    (fun n ->
-      vals.(n) <- (if n = node then w else Soa.eval_node s vals wordsv n))
-    (Soa.schedule s);
-  vals
-
-let prop_incremental_matches_full () =
-  check_prop "incremental resim == full resim" arb_recipe (fun r ->
-      let c = build_netlist r in
-      let s = Soa.of_netlist c in
-      let e = Incr.create s in
-      let rng = Rng.create 47 in
-      let cur = words rng r.ni in
-      Incr.load e cur;
-      List.for_all
-        (fun _ ->
-          (* perturb one input word, then check the dirty-cone resim
-             against a from-scratch simulation of the new words *)
-          let i = Rng.int rng r.ni in
-          cur.(i) <- Rng.bits64 rng;
-          Incr.set_input e i cur.(i);
-          let full = Soa.node_values s cur in
-          Incr.values e = full
-          && Incr.outputs e = Soa.outputs_of_values s full)
-        (List.init 6 Fun.id)
-      &&
-      (* a hypothetical probe sees exactly the patched simulation, and
-         every touched value is restored on the way out *)
-      let before = Array.copy (Incr.values e) in
-      let node = Rng.int rng (Soa.num_nodes s) in
-      let w = Rng.bits64 rng in
-      Incr.with_forced e ~node w (fun e ->
-          Incr.values e = forced_reference s cur node w)
-      && Incr.values e = before)
-
 (* the shapes random recipes never produce: no inputs, no gates *)
 let test_kernel_degenerate () =
   let check_words = Alcotest.(check (array int64)) in
@@ -377,35 +323,13 @@ let test_kernel_degenerate () =
   let s0 = Soa.of_netlist c0 in
   check_words "0-input eval_words" (N.eval_words c0 [||])
     (Soa.eval_words s0 [||]);
-  let e0 = Incr.create s0 in
-  Incr.load e0 [||];
-  check_words "0-input incremental outputs" (N.eval_words c0 [||])
-    (Incr.outputs e0);
   (* zero-gate netlist: an input wired straight to the output *)
   let c1 = N.create ~input_names:[| "a"; "b" |] ~output_names:[| "y" |] in
   N.set_output c1 0 (N.input c1 1);
   let s1 = Soa.of_netlist c1 in
   let rng = Rng.create 53 in
   let w = words rng 2 in
-  check_words "0-gate eval_words" (N.eval_words c1 w) (Soa.eval_words s1 w);
-  let e1 = Incr.create s1 in
-  Incr.load e1 w;
-  w.(1) <- Rng.bits64 rng;
-  Incr.set_input e1 1 w.(1);
-  check_words "0-gate incremental outputs" (N.eval_words c1 w)
-    (Incr.outputs e1);
-  (* zero-and AIG: inverter-only and a constant output *)
-  let aig = Aig.create ~num_inputs:1 ~num_outputs:2 in
-  Aig.set_output aig 0 (Aig.not_lit (Aig.input_lit aig 0));
-  let sa = Ksim.soa_of_aig aig in
-  let wa = words rng 1 in
-  check_words "0-and AIG outputs" (Aig.simulate aig wa)
-    (Soa.outputs_of_values sa (Soa.node_values sa wa));
-  (* zero-input AIG *)
-  let aigc = Aig.create ~num_inputs:0 ~num_outputs:1 in
-  let sc = Ksim.soa_of_aig aigc in
-  check_words "0-input AIG outputs" (Aig.simulate aigc [||])
-    (Soa.outputs_of_values sc (Soa.node_values sc [||]))
+  check_words "0-gate eval_words" (N.eval_words c1 w) (Soa.eval_words s1 w)
 
 (* ---------------- fault injection ---------------- *)
 
@@ -549,10 +473,6 @@ let tests =
     Alcotest.test_case "evaluator agreement" `Quick prop_evaluators_agree;
     Alcotest.test_case "SoA kernel == netlist evaluators" `Quick
       prop_soa_netlist_identical;
-    Alcotest.test_case "SoA kernel == AIG simulation" `Quick
-      prop_soa_aig_identical;
-    Alcotest.test_case "incremental resim == full resim" `Quick
-      prop_incremental_matches_full;
     Alcotest.test_case "kernel degenerate shapes" `Quick
       test_kernel_degenerate;
     Alcotest.test_case "transient fault transparency" `Quick

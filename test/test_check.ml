@@ -195,12 +195,11 @@ let test_verify_table () =
   in
   let good m = m = 3 in
   Selfcheck.verify_table ~stage:"cover-min" ~circuit:c ~output:0 ~bits:2
-    ~to_full ~expected:good ();
+    ~to_full ~expected:good;
   (match
      Selfcheck.verify_table ~stage:"cover-min" ~circuit:c ~output:0 ~bits:2
        ~to_full
        ~expected:(fun m -> m = 2)
-       ()
    with
   | () -> Alcotest.fail "wrong table not caught"
   | exception Selfcheck.Check_failed { output; cex; _ } ->

@@ -28,13 +28,12 @@ let fast =
   }
 
 let learn_with ?faults ?(retry = Lr_faults.Faults.no_retry)
-    ?(kernel = fast.Config.kernel) ?(sweep = fast.Config.sweep) ~jobs ~seed
-    name =
+    ?(sweep = fast.Config.sweep) ~jobs ~seed name =
   let spec = Cases.find name in
   let box = Cases.blackbox ~budget:150_000 spec in
   let report =
     Learner.learn
-      ~config:{ fast with Config.seed; jobs; kernel; sweep; faults; retry }
+      ~config:{ fast with Config.seed; jobs; sweep; faults; retry }
       box
   in
   let accuracy =
@@ -43,15 +42,15 @@ let learn_with ?faults ?(retry = Lr_faults.Faults.no_retry)
   in
   (Io.write report.Learner.circuit, accuracy, report)
 
-let assert_jobs_invariant ?(jobs_levels = [ 2; 4 ]) ?faults ?retry ?kernel
-    ?sweep name seed =
+let assert_jobs_invariant ?(jobs_levels = [ 2; 4 ]) ?faults ?retry ?sweep
+    name seed =
   let base_net, base_acc, base =
-    learn_with ?faults ?retry ?kernel ?sweep ~jobs:1 ~seed name
+    learn_with ?faults ?retry ?sweep ~jobs:1 ~seed name
   in
   List.iter
     (fun jobs ->
       let ctx = Printf.sprintf "%s seed=%d jobs=%d" name seed jobs in
-      let net, acc, r = learn_with ?faults ?retry ?kernel ?sweep ~jobs ~seed name in
+      let net, acc, r = learn_with ?faults ?retry ?sweep ~jobs ~seed name in
       check_str (ctx ^ ": bit-identical netlist") base_net net;
       check_int (ctx ^ ": equal queries") base.Learner.queries
         r.Learner.queries;
@@ -109,38 +108,12 @@ let test_trio_faulted () =
     (fun name -> assert_jobs_invariant ~faults ~retry name 1)
     default_trio
 
-(* the kernel flag must be invisible in everything but wall-clock:
-   [--kernel off] learns bit-identical circuits with identical query
-   attribution, and the jobs invariant holds on the kernel-enabled trio
-   with the full netlist sweep in play (portfolio races, dirty-cone ODC
-   verification and SoA fraig signatures all on the comparison path) *)
-let test_trio_kernel_on_off () =
+(* the jobs invariant with the full netlist sweep in play (fraig
+   signatures, equivalence-class merging and ODC verification all on the
+   comparison path) *)
+let test_trio_full_sweep_jobs () =
   List.iter
-    (fun name ->
-      let off_net, off_acc, off_r =
-        learn_with ~kernel:false ~sweep:Config.Sweep_full ~jobs:1 ~seed:1 name
-      in
-      let on_net, on_acc, on_r =
-        learn_with ~kernel:true ~sweep:Config.Sweep_full ~jobs:1 ~seed:1 name
-      in
-      check_str (name ^ ": kernel on/off bit-identical netlist") off_net on_net;
-      check_int (name ^ ": kernel on/off equal queries") off_r.Learner.queries
-        on_r.Learner.queries;
-      Alcotest.(check (float 0.0))
-        (name ^ ": kernel on/off equal accuracy")
-        off_acc on_acc;
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": kernel on/off equal phase queries")
-        off_r.Learner.phase_queries on_r.Learner.phase_queries;
-      check_int
-        (name ^ ": kernel on/off equal sweep removals")
-        off_r.Learner.sweep_removed on_r.Learner.sweep_removed)
-    default_trio
-
-let test_trio_kernel_jobs () =
-  List.iter
-    (fun name ->
-      assert_jobs_invariant ~kernel:true ~sweep:Config.Sweep_full name 3)
+    (fun name -> assert_jobs_invariant ~sweep:Config.Sweep_full name 3)
     default_trio
 
 let test_full_sweep () =
@@ -160,10 +133,8 @@ let tests =
       (test_trio_seed 42);
     Alcotest.test_case "jobs 1/2/4 invariant under a fault schedule" `Quick
       test_trio_faulted;
-    Alcotest.test_case "kernel on/off bit-identity (full sweep)" `Quick
-      test_trio_kernel_on_off;
-    Alcotest.test_case "jobs 1/2/4 invariant, kernel-enabled full sweep"
-      `Quick test_trio_kernel_jobs;
+    Alcotest.test_case "jobs 1/2/4 invariant, full sweep" `Quick
+      test_trio_full_sweep_jobs;
     Alcotest.test_case "full 20-case sweep (LR_DETERMINISM_ALL)" `Slow
       test_full_sweep;
   ]

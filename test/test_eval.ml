@@ -69,7 +69,7 @@ let test_all_outputs_must_match () =
   Alcotest.(check (float 0.0)) "never all-match" 0.0 acc;
   let rng = Rng.create 6 in
   let patterns = Eval.mixture ~rng ~num_inputs:2 ~count:1000 in
-  let per = Eval.per_output_accuracy ~patterns ~golden ~candidate () in
+  let per = Eval.per_output_accuracy ~patterns ~golden ~candidate in
   Alcotest.(check (float 0.0)) "output 0 perfect" 1.0 per.(0);
   Alcotest.(check (float 0.0)) "output 1 always wrong" 0.0 per.(1)
 

@@ -411,8 +411,8 @@ let redundant_aig () =
 
 (* capture the instrumentation stream of a real fraig sweep — the same
    stream the run report and the metrics exposition aggregate — and
-   return the per-round counter series *)
-let capture_fraig ~kernel () =
+   return the per-round series of a named counter *)
+let capture_fraig () =
   Instr.reset_aggregates ();
   let events = ref [] in
   Instr.set_sinks
@@ -420,22 +420,18 @@ let capture_fraig ~kernel () =
       { emit = (fun e -> events := e :: !events); flush = (fun () -> ()) };
     ];
   Fun.protect ~finally:(fun () -> Instr.set_sinks []) @@ fun () ->
-  let swept =
-    Lr_aig.Fraig.sweep ~words:1 ~kernel ~rng:(Rng.create 11) (redundant_aig ())
-  in
-  let series name =
+  ignore (Lr_aig.Fraig.sweep ~words:1 ~rng:(Rng.create 11) (redundant_aig ()));
+  fun name ->
     List.rev
       (List.filter_map
          (function
            | Instr.Count { name = n; incr; _ } when n = name -> Some incr
            | _ -> None)
          !events)
-  in
-  (Lr_aig.Aig.num_ands swept, series)
 
 let test_fraig_round_invariants () =
   with_clean @@ fun () ->
-  let ands, series = capture_fraig ~kernel:true () in
+  let series = capture_fraig () in
   let sim = series "fraig.sim-words" in
   let classes = series "fraig.classes" in
   let proved = series "fraig.proved" in
@@ -468,24 +464,7 @@ let test_fraig_round_invariants () =
         (p + r <= c))
     classes;
   (* the pass did real work on this circuit *)
-  check "something was proved" true (List.exists (fun p -> p > 0) proved);
-  (* counter parity: the kernel path must tick the exact same fraig
-     counters as the legacy evaluator, round for round *)
-  let ands_off, series_off = capture_fraig ~kernel:false () in
-  check_int "kernel on/off same result size" ands_off ands;
-  List.iter
-    (fun name ->
-      Alcotest.(check (list int))
-        ("kernel on/off same " ^ name ^ " series")
-        (series_off name) (series name))
-    [
-      "fraig.sim-words";
-      "fraig.classes";
-      "fraig.proved";
-      "fraig.refuted";
-      "fraig.sat-calls";
-      "fraig.rounds";
-    ]
+  check "something was proved" true (List.exists (fun p -> p > 0) proved)
 
 (* --- self-time regression gate --- *)
 

@@ -121,7 +121,6 @@ let test_proto_roundtrip () =
         jobs = 4;
         check = Config.Full;
         sweep = Config.Sweep_full;
-        kernel = false;
         use_cache = false;
       };
     ]
@@ -146,13 +145,17 @@ let test_proto_rejects () =
   check "bad seed type" true (bad {|{"case":"case_1","seed":"one"}|});
   check "bad check enum" true (bad {|{"case":"case_1","check":"maybe"}|});
   check "defaults applied" true
-    (Proto.of_string {|{"case":"case_1"}|} = Ok (Proto.default ~case:"case_1"))
+    (Proto.of_string {|{"case":"case_1"}|} = Ok (Proto.default ~case:"case_1"));
+  (* unknown keys stay ignored, so bodies still carrying the retired
+     engine switch parse (and hit the cache) exactly as before *)
+  check "retired kernel key ignored" true
+    (Proto.of_string {|{"case":"case_1","kernel":false}|}
+    = Ok (Proto.default ~case:"case_1"))
 
 let test_proto_config_signature () =
   let s = fast_spec "case_7" in
   let sig_of s = Proto.config_signature s in
   check_str "jobs excluded" (sig_of s) (sig_of { s with Proto.jobs = 4 });
-  check_str "kernel excluded" (sig_of s) (sig_of { s with Proto.kernel = false });
   check_str "tenant excluded" (sig_of s) (sig_of { s with Proto.tenant = "x" });
   check "seed included" true (sig_of s <> sig_of { s with Proto.seed = 2 });
   check "budget included" true (sig_of s <> sig_of { s with Proto.budget = None });
