@@ -382,6 +382,24 @@ let micro () =
     Test.make ~name:"netlist word-sim (case_9, 64 patterns)"
       (Staged.stage (fun () -> ignore (N.eval_words case9 words9)))
   in
+  let soa9 = Lr_kernel.Soa.of_netlist case9 in
+  let soa_test =
+    Test.make ~name:"Soa.eval_words (case_9, 64 patterns)"
+      (Staged.stage (fun () -> ignore (Lr_kernel.Soa.eval_words soa9 words9)))
+  in
+  (* one support-identification toggle batch: the base word block with
+     one input column complemented, through the accounted box path *)
+  let box9 = Box.of_netlist case9 in
+  let toggled = ref 0 in
+  let box_test =
+    Test.make ~name:"Blackbox.query_words toggle batch (case_9)"
+      (Staged.stage (fun () ->
+           let i = !toggled in
+           toggled := (i + 1) mod Array.length words9;
+           words9.(i) <- Int64.lognot words9.(i);
+           ignore (Box.query_words box9 words9);
+           words9.(i) <- Int64.lognot words9.(i)))
+  in
   let fraig_test =
     Test.make ~name:"fraig sweep (case_7 AIG)"
       (Staged.stage (fun () ->
@@ -442,7 +460,16 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"kernels" ~fmt:"%s %s"
-      [ sampling_test; sim_test; fraig_test; bdd_test; espresso_test; sat_test ]
+      [
+        sampling_test;
+        sim_test;
+        soa_test;
+        box_test;
+        fraig_test;
+        bdd_test;
+        espresso_test;
+        sat_test;
+      ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg =

@@ -53,7 +53,7 @@ let compare a b =
 
 let hash t = Hashtbl.hash (t.len, t.words)
 
-let popcount_word w =
+let popcount64 w =
   let w = Int64.sub w Int64.(logand (shift_right_logical w 1) 0x5555555555555555L) in
   let w =
     Int64.add
@@ -63,7 +63,10 @@ let popcount_word w =
   let w = Int64.(logand (add w (shift_right_logical w 4)) 0x0F0F0F0F0F0F0F0FL) in
   Int64.to_int (Int64.shift_right_logical (Int64.mul w 0x0101010101010101L) 56)
 
-let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
+let popcount t = Array.fold_left (fun acc w -> acc + popcount64 w) 0 t.words
+
+let lane_mask k =
+  if k >= 64 then -1L else Int64.pred (Int64.shift_left 1L k)
 
 let random rng n =
   let t = create n in
@@ -113,6 +116,45 @@ let to_string t =
   String.init t.len (fun i -> if get t (t.len - 1 - i) then '1' else '0')
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
+
+(* Word-major transposes, a word at a time so only finished words are
+   stored (an [int64 array] store boxes its value). *)
+let columns n pats ~pos ~lanes =
+  if lanes < 0 || lanes > 64 then
+    invalid_arg "Bv.columns: lanes out of [0, 64]";
+  for k = pos to pos + lanes - 1 do
+    if pats.(k).len <> n then invalid_arg "Bv.columns: length mismatch"
+  done;
+  Array.init n (fun i ->
+      let wi = i lsr 6 and b = i land 63 in
+      let w = ref 0L in
+      for k = 0 to lanes - 1 do
+        let x = Array.unsafe_get pats.(pos + k).words wi in
+        w :=
+          Int64.logor !w
+            (Int64.shift_left
+               (Int64.logand (Int64.shift_right_logical x b) 1L)
+               k)
+      done;
+      !w)
+
+let of_columns words ~lanes =
+  let n = Array.length words in
+  Array.init lanes (fun k ->
+      let t = create n in
+      for wi = 0 to nwords n - 1 do
+        let w = ref 0L in
+        for b = 0 to min 63 (n - 1 - (wi lsl 6)) do
+          let x = Array.unsafe_get words ((wi lsl 6) + b) in
+          w :=
+            Int64.logor !w
+              (Int64.shift_left
+                 (Int64.logand (Int64.shift_right_logical x k) 1L)
+                 b)
+        done;
+        t.words.(wi) <- !w
+      done;
+      t)
 
 let iteri f t =
   for i = 0 to t.len - 1 do

@@ -26,6 +26,13 @@ val fill : t -> bool -> unit
 
 val popcount : t -> int
 
+val popcount64 : int64 -> int
+(** Set bits in one word — the lane count of a word-parallel result. *)
+
+val lane_mask : int -> int64
+(** [lane_mask k] has bits [0 .. k-1] set, [0 <= k <= 64]: the live lanes
+    of a word holding [k] patterns. *)
+
 val random : Rng.t -> int -> t
 (** [random rng n] draws [n] uniform bits. *)
 
@@ -48,6 +55,16 @@ val to_string : t -> string
 (** MSB-first rendering; inverse of {!of_string}. *)
 
 val pp : Format.formatter -> t -> unit
+
+val columns : int -> t array -> pos:int -> lanes:int -> int64 array
+(** [columns n pats ~pos ~lanes] transposes the [lanes <= 64] vectors
+    [pats.(pos) .. pats.(pos + lanes - 1)], each of length [n], into [n]
+    words: bit [k] of word [i] is bit [i] of [pats.(pos + k)]. Lanes
+    [>= lanes] are zero. *)
+
+val of_columns : int64 array -> lanes:int -> t array
+(** Inverse of {!columns}: [lanes] vectors of length [Array.length words],
+    vector [k] made of bit [k] of every word. *)
 
 val iteri : (int -> bool -> unit) -> t -> unit
 

@@ -4,9 +4,10 @@ module Instr = Lr_instr.Instr
 module Log = Lr_obs.Log
 module Histogram = Lr_report.Histogram
 module Faults = Lr_faults.Faults
+module Soa = Lr_kernel.Soa
 
 type provider =
-  | Circuit of N.t
+  | Circuit of N.t * Soa.t  (** the golden circuit, compiled once *)
   | Function of (Bv.t -> Bv.t)
 
 exception Exhausted of { used : int; budget : int }
@@ -22,6 +23,9 @@ let () =
 
 type t = {
   provider : provider;
+  run : n:int -> int64 array array -> int64 array array;
+      (** the provider as a word engine ({!engine}), private to this box
+          or shard *)
   input_names : string array;
   output_names : string array;
   budget : int option;
@@ -40,9 +44,34 @@ type t = {
   mutable retry_span_order : string list;
 }
 
+(* [n] queries spread over word blocks: block [b] holds queries
+   [64b .. 64b + 63] as one word per input, lane [k] = query [64b + k]. *)
+let block_lanes n b = min 64 (n - (64 * b))
+
+(* The provider as a word engine: input word blocks in, output word
+   blocks out. A netlist runs on its compiled kernel in a scratch that
+   this engine owns — every box and shard builds its own engine, so
+   shards on different domains never share node storage. A function is
+   called once per lane. *)
+let engine = function
+  | Circuit (_, k) ->
+      let scratch = Soa.scratch k in
+      fun ~n blocks ->
+        Instr.count "sim.patterns" n;
+        Array.map (Soa.eval_into k scratch) blocks
+  | Function f ->
+      fun ~n blocks ->
+        Array.mapi
+          (fun b words ->
+            let lanes = block_lanes n b in
+            let outs = Array.map f (Bv.of_columns words ~lanes) in
+            Bv.columns (Bv.length outs.(0)) outs ~pos:0 ~lanes)
+          blocks
+
 let make ?budget ?deadline_s provider ~input_names ~output_names =
   {
     provider;
+    run = engine provider;
     input_names;
     output_names;
     budget;
@@ -73,6 +102,7 @@ let make ?budget ?deadline_s provider ~input_names ~output_names =
 let shard ?budget ?(strict = false) ?fault_key t =
   {
     t with
+    run = engine t.provider;
     budget;
     strict;
     used = 0;
@@ -117,7 +147,8 @@ let absorb t s =
   Histogram.merge ~into:t.latency s.latency
 
 let of_netlist ?budget ?deadline_s c =
-  make ?budget ?deadline_s (Circuit c)
+  make ?budget ?deadline_s
+    (Circuit (c, Soa.of_netlist c))
     ~input_names:(N.input_names c) ~output_names:(N.output_names c)
 
 let of_function ?budget ?deadline_s ~input_names ~output_names f =
@@ -137,6 +168,10 @@ let retry_policy t = t.retry
 
 let check_width t a =
   if Bv.length a <> num_inputs t then
+    invalid_arg "Blackbox.query: assignment width mismatch"
+
+let check_words t w =
+  if Array.length w <> num_inputs t then
     invalid_arg "Blackbox.query: assignment width mismatch"
 
 (* Charge [n] queries to the innermost open instrumentation span, so a
@@ -165,11 +200,6 @@ let bump_retries t n =
       t.retry_span_order <- key :: t.retry_span_order);
   Instr.count "query.retries" n
 
-let run_provider t patterns =
-  match t.provider with
-  | Circuit c -> N.eval_many c patterns
-  | Function f -> Array.map f patterns
-
 (* Injected failures and the retry policy around them. A failed attempt
    consumes no budget and is not attributed as a query: retrying leaves
    [queries_used] — and therefore the whole learned circuit — exactly
@@ -177,7 +207,7 @@ let run_provider t patterns =
    chaos tests pin down. Backoff advances the injected clock instead of
    sleeping, so deadlines and latency percentiles see the stall but the
    process never blocks. *)
-let rec faulted_batch t f patterns ~n ~attempt =
+let rec faulted_batch t f blocks ~n ~attempt =
   if Faults.attempt_fails f ~attempt then
     if attempt + 1 >= max 1 t.retry.Faults.max_attempts then begin
       Log.warn ~key:"blackbox.failed"
@@ -208,61 +238,73 @@ let rec faulted_batch t f patterns ~n ~attempt =
           ]
         "transient query failure; backing off and retrying";
       Instr.advance_clock backoff;
-      faulted_batch t f patterns ~n ~attempt:(attempt + 1)
+      faulted_batch t f blocks ~n ~attempt:(attempt + 1)
     end
   else begin
     attribute t n;
     let t0 = Instr.now () in
-    let r = run_provider t patterns in
+    let r = t.run ~n blocks in
     Instr.advance_clock (Faults.spike f);
-    let r = Faults.commit f r in
+    Faults.commit f ~n r;
     Histogram.add_n t.latency ((Instr.now () -. t0) /. float_of_int n) n;
     r
   end
 
-(* The clock is [Instr.now] so tests with an injected clock see
-   deterministic latencies; a batch charges its mean per-query latency
-   once per member, keeping the histogram's weight equal to the query
-   count while costing only two clock reads per call. An empty batch is
-   a complete no-op — it must not touch the attribution table or the
-   histogram, or shard absorption would merge phantom zero-weight
-   entries. *)
-let query_many t patterns =
-  let n = Array.length patterns in
+(* The one accounted query path. The clock is [Instr.now] so tests with
+   an injected clock see deterministic latencies; a batch charges its
+   mean per-query latency once per member, keeping the histogram's
+   weight equal to the query count while costing only two clock reads
+   per call. An empty batch is a complete no-op — it must not touch the
+   attribution table or the histogram, or shard absorption would merge
+   phantom zero-weight entries. *)
+let query_blocks t ~n blocks =
+  if n < 0 || Array.length blocks <> (n + 63) / 64 then
+    invalid_arg "Blackbox.query_blocks: block count does not match n";
+  Array.iter (check_words t) blocks;
   if n = 0 then [||]
-  else begin
-    Array.iter (check_width t) patterns;
+  else
     match t.faults with
-    | Some f -> faulted_batch t f patterns ~n ~attempt:0
+    | Some f -> faulted_batch t f blocks ~n ~attempt:0
     | None ->
         attribute t n;
         let t0 = Instr.now () in
-        let r = run_provider t patterns in
+        let r = t.run ~n blocks in
         Histogram.add_n t.latency ((Instr.now () -. t0) /. float_of_int n) n;
         r
-  end
 
-let query t a =
-  match t.faults with
-  | Some _ -> (query_many t [| a |]).(0)
-  | None ->
-      check_width t a;
-      attribute t 1;
-      let t0 = Instr.now () in
-      let r =
-        match t.provider with Circuit c -> N.eval c a | Function f -> f a
-      in
-      Histogram.add t.latency (Instr.now () -. t0);
-      r
+let query_words ?(lanes = 64) t words =
+  if lanes < 1 || lanes > 64 then
+    invalid_arg "Blackbox.query_words: lanes out of [1, 64]";
+  (query_blocks t ~n:lanes [| words |]).(0)
+
+(* One batch of assignment vectors: transposed into blocks, answered,
+   transposed back. *)
+let query_many t patterns =
+  Array.iter (check_width t) patterns;
+  let n = Array.length patterns and ni = num_inputs t in
+  let blocks =
+    Array.init ((n + 63) / 64) (fun b ->
+        Bv.columns ni patterns ~pos:(64 * b) ~lanes:(block_lanes n b))
+  in
+  Array.concat
+    (Array.to_list
+       (Array.mapi
+          (fun b w -> Bv.of_columns w ~lanes:(block_lanes n b))
+          (query_blocks t ~n blocks)))
+
+let query t a = (query_many t [| a |]).(0)
 
 (* Fingerprint probes for the service cache: evaluate the provider
    directly, with none of the query machinery — no budget, no counters,
    no span attribution, no latency samples, no fault injection. The
    zero-leakage contract is what keeps a cache-missed service learn
-   bit-identical to a direct [Learner.learn] of the same box. *)
+   bit-identical to a direct [Learner.learn] of the same box. The kernel
+   simulates in the calling domain's scratch, never the box's. *)
 let probe_many t patterns =
   Array.iter (check_width t) patterns;
-  run_provider t patterns
+  match t.provider with
+  | Circuit (_, k) -> Soa.eval_many k patterns
+  | Function f -> Array.map f patterns
 
 let queries_used t = t.used
 let budget t = t.budget
@@ -302,4 +344,5 @@ let reset_accounting t =
       (fun f -> Faults.instantiate (Faults.spec f) ~key:(Faults.key f))
       t.faults
 
-let golden t = match t.provider with Circuit c -> Some c | Function _ -> None
+let golden t =
+  match t.provider with Circuit (c, _) -> Some c | Function _ -> None

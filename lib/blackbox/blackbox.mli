@@ -25,14 +25,16 @@
 type t
 
 exception Exhausted of { used : int; budget : int }
-(** Raised by {!query}/{!query_many} on a {e strict} {!shard} whose
+(** Raised by any query function on a {e strict} {!shard} whose
     budget slice would be exceeded — the query is refused, not counted.
     Plain boxes and non-strict shards never raise this: their exhaustion
     stays advisory through {!exhausted}. *)
 
 val of_netlist : ?budget:int -> ?deadline_s:float -> Lr_netlist.Netlist.t -> t
-(** Wrap a golden circuit. The circuit is retained only behind the query
-    interface; use {!golden} in evaluation code, never in the learner. *)
+(** Wrap a golden circuit, compiling it for the word-parallel kernel
+    ([Lr_kernel.Soa]) here, once. The circuit is retained only behind the
+    query interface; use {!golden} in evaluation code, never in the
+    learner. *)
 
 val of_function :
   ?budget:int ->
@@ -48,16 +50,38 @@ val num_outputs : t -> int
 val input_names : t -> string array
 val output_names : t -> string array
 
-val query : t -> Lr_bitvec.Bv.t -> Lr_bitvec.Bv.t
-(** One full assignment in, one full assignment out. Counts 1 query.
-    On a faulty box, raises {!Lr_faults.Faults.Query_failed} once the
-    retry policy is spent on an injected failure. *)
+val query_words : ?lanes:int -> t -> int64 array -> int64 array
+(** The word-major query: one batch of [lanes] (default 64, from 1 to
+    64) full assignments, given as one word per input — bit [k] of word
+    [i] is input [i] of query [k] — and answered as one word per output,
+    lane [k] answering query [k]. Lanes at or past [lanes] are
+    unspecified, so mask them. Counts [lanes] queries.
+
+    This is {e the} accounted path: attribution to the open span, the
+    strict-shard {!Exhausted} check, the latency histogram, fault
+    injection (an answer is corrupted lane by lane under the schedule's
+    window) and retries all happen here. {!query_blocks}, {!query_many}
+    and {!query} reach the same code with the same batch boundaries. A
+    netlist-backed box simulates on its compiled [Lr_kernel.Soa] kernel
+    in node storage private to the box or shard. *)
+
+val query_blocks : t -> n:int -> int64 array array -> int64 array array
+(** {!query_words} for one batch of [n] queries of any size: block [b]
+    (of [ceil(n / 64)]) carries queries [64b .. 64b + 63] word-major, and
+    the answer is one output-word array per block. Accounted, timed and
+    fault-injected as a single batch, exactly like a {!query_many} of [n]
+    patterns. *)
 
 val query_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
-(** Batched queries (word-parallel when the box wraps a netlist).
-    Counts [Array.length] queries. An empty batch is a complete no-op:
-    nothing is counted, attributed or timed. On a faulty box, raises
+(** Batched queries: transposed into 64-pattern blocks, answered by
+    {!query_blocks} as one batch, and transposed back. Counts
+    [Array.length] queries. An empty batch is a complete no-op: nothing
+    is counted, attributed or timed. On a faulty box, raises
     {!Lr_faults.Faults.Query_failed} once the retry policy is spent. *)
+
+val query : t -> Lr_bitvec.Bv.t -> Lr_bitvec.Bv.t
+(** One full assignment in, one full assignment out: a one-pattern
+    {!query_many}. Counts 1 query. *)
 
 val probe_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Behavioural-fingerprint probes ([Lr_serve.Fingerprint]): evaluate
@@ -68,7 +92,8 @@ val probe_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
     they were, so a service learn that fingerprinted its box first is
     bit-identical to a direct {!query}-only run. Not for learners:
     circumventing the budget in learning code would break the contest
-    accounting contract. *)
+    accounting contract. A probe simulates in node storage of its own,
+    so it may run beside the box's queries. *)
 
 (** {1 Fault injection and retries}
 
@@ -109,10 +134,10 @@ val budget : t -> int option
 val query_latency : t -> Lr_report.Histogram.t
 (** Per-query latency histogram (seconds), timed with the
     {!Lr_instr.Instr.now} clock so an injected test clock produces
-    deterministic samples. Single queries record their own duration; a
-    batched {!query_many} of [n] patterns records its mean per-query
-    latency [n] times, so the histogram's total weight equals
-    {!queries_used}. Cleared by {!reset_accounting}. *)
+    deterministic samples. A batch of [n] queries (one call of any query
+    function) records its mean per-query latency [n] times, so the
+    histogram's total weight equals {!queries_used}. Cleared by
+    {!reset_accounting}. *)
 
 val queries_by_span : t -> (string * int) list
 (** Per-phase query attribution: every query is charged to the
@@ -148,10 +173,12 @@ val reset_accounting : t -> unit
     Queries through a shard are {b not} visible in the parent until the
     parent calls {!absorb}; absorbing every shard exactly once, in a
     deterministic order, makes {!queries_used} and {!queries_by_span}
-    equal to what a sequential run would have recorded. Netlist-backed
-    boxes are safe to query from several domains at once (simulation
-    only reads the circuit); for {!of_function} boxes the caller must
-    supply a thread-safe function before sharding. *)
+    equal to what a sequential run would have recorded. Shards of a
+    netlist-backed box are safe to query from several domains at once:
+    they share the compiled circuit read-only, and every shard simulates
+    in node storage of its own. One box or shard is queried from one
+    domain at a time. For {!of_function} boxes the caller must supply a
+    thread-safe function before sharding. *)
 
 val shard : ?budget:int -> ?strict:bool -> ?fault_key:int -> t -> t
 (** [shard ?budget ?strict ?fault_key t] — a fresh-accounting view of

@@ -71,8 +71,9 @@ type t = {
           reschedules work, it never changes results *)
   kernel : bool;
       (** unread: nothing in the library looks at this field, and every
-          value learns through the same engines (the tree-walking
-          evaluators and one [Lr_sat.Sat] solver). It stays, with the
+          value learns through the same engines (one compiled netlist
+          simulator, the AIG simulators and one [Lr_sat.Sat] solver).
+          It stays, with the
           equally unread [?kernel] labels of [Fraig.sweep], [Opt.compress]
           and [Sweep.run], only because the benchmark's layer replay in
           [perfbench/] still passes [~kernel:config.Config.kernel] to

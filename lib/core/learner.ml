@@ -123,32 +123,43 @@ let compressed_domain ni cmp =
     delegate = Some (cmp, ni);
   }
 
-(* translate a virtual assignment into a full black-box assignment *)
-let to_full ni dom virtual_a =
-  let a = Bv.create ni in
-  for i = 0 to ni - 1 do
-    Bv.set a i (Bv.get virtual_a i)
-  done;
-  (match dom.delegate with
-  | None -> ()
+(* Translate one block of virtual assignments (one word per virtual
+   input) into full black-box assignments. The delegate's representative
+   vectors are constants, so each compressed bus bit is a per-lane select
+   between two constant words on the delegate's word. *)
+let to_full ni dom words =
+  match dom.delegate with
+  | None -> words
   | Some (cmp, dvar) ->
+      let a = Array.sub words 0 ni in
+      let d = words.(dvar) in
       let (xf, yf), (xt, yt) = delegate_reps cmp.T.cmp_op in
-      let x, y = if Bv.get virtual_a dvar then (xt, yt) else (xf, yf) in
-      G.set_vector cmp.T.lhs (fun s b -> Bv.set a s b) x;
+      let select (v : G.vector) ~when_true ~when_false =
+        Array.iteri
+          (fun k s ->
+            a.(s) <-
+              (match ((when_true lsr k) land 1, (when_false lsr k) land 1) with
+              | 1, 1 -> -1L
+              | 0, 0 -> 0L
+              | 1, _ -> d
+              | _ -> Int64.lognot d))
+          v.G.bits
+      in
+      select cmp.T.lhs ~when_true:xt ~when_false:xf;
       (match cmp.T.rhs with
-      | T.Vec v -> G.set_vector v (fun s b -> Bv.set a s b) y
-      | T.Const _ -> ()));
-  a
+      | T.Vec v -> select v ~when_true:yt ~when_false:yf
+      | T.Const _ -> ());
+      a
 
 let oracle_for box dom ~output =
   let ni = Box.num_inputs box in
   {
-    Oracle.arity = dom.arity;
+    Oracle.Words.arity = dom.arity;
     query =
-      (fun arr ->
-        let full = Array.map (to_full ni dom) arr in
-        let outs = Box.query_many box full in
-        Array.map (fun o -> Bv.get o output) outs);
+      (fun ~n blocks ->
+        Array.map
+          (fun outs -> outs.(output))
+          (Box.query_blocks box ~n (Array.map (to_full ni dom) blocks)));
     exhausted = (fun () -> Box.exhausted box);
   }
 
@@ -577,7 +588,7 @@ let learn ?(config = Config.default) box =
       phase "fbdt" @@ fun () ->
       try
         if List.length support <= config.Config.small_support_threshold then
-          (Fbdt.learn_exhaustive ~rng ~support oracle, Exhaustive)
+          (Fbdt.learn_exhaustive_words ~rng ~support oracle, Exhaustive)
         else begin
           (* refinement loop (extension): when the tree came back truncated
              and fresh validation samples expose mistakes, retry with a
@@ -590,7 +601,7 @@ let learn ?(config = Config.default) box =
             in
             (* validation is optional polish: if the probes themselves hit
                an unretryable fault, keep the result we already have *)
-            match oracle.Oracle.query probes with
+            match (Oracle.of_words oracle).Oracle.query probes with
             | exception Faults.Query_failed _ -> true
             | want ->
                 let errors = ref 0 in
@@ -610,7 +621,7 @@ let learn ?(config = Config.default) box =
                 max_nodes;
               }
             in
-            let result = Fbdt.learn ~support fcfg ~rng oracle in
+            let result = Fbdt.learn_words ~support fcfg ~rng oracle in
             if
               tries <= 0 || result.Fbdt.complete
               || Box.exhausted shard || validate result
@@ -813,7 +824,10 @@ let learn ?(config = Config.default) box =
                          Array.iteri
                            (fun j v -> Bv.set va v ((m lsr j) land 1 = 1))
                            support_arr;
-                         to_full ni dom va)
+                         let words =
+                           Bv.columns dom.arity [| va |] ~pos:0 ~lanes:1
+                         in
+                         (Bv.of_columns (to_full ni dom words) ~lanes:1).(0))
                        ~expected:(fun m -> table.(m)));
                  incr checks_verified
              | None -> (

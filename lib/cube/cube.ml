@@ -35,6 +35,20 @@ let remove t v =
 let of_literals n lits =
   List.fold_left (fun c (v, ph) -> add c v ph) (top n) lits
 
+let of_minterm n vars =
+  let care = Bv.create n in
+  Array.iter
+    (fun v ->
+      if Bv.get care v then invalid_arg "Cube.of_minterm: repeated variable";
+      Bv.set care v true)
+    vars;
+  fun m ->
+    let value = Bv.create n in
+    Array.iteri
+      (fun j v -> if (m lsr j) land 1 = 1 then Bv.set value v true)
+      vars;
+    { n; care; value }
+
 let literals t =
   let acc = ref [] in
   for v = t.n - 1 downto 0 do

@@ -18,6 +18,13 @@ val of_literals : int -> (int * bool) list -> t
 (** [of_literals n lits] builds a cube from [(var, phase)] pairs.
     Raises [Invalid_argument] on a contradictory pair (v, true)/(v, false). *)
 
+val of_minterm : int -> int array -> int -> t
+(** [of_minterm n vars m] is the cube fixing [vars.(j)] to bit [j] of [m]
+    — equal to [of_literals n] over those pairs, without building one
+    cube per literal. Partially applied to [n] and [vars] it shares one
+    care set across every minterm, as exhaustive enumeration wants.
+    Requires distinct in-range [vars]. *)
+
 val literals : t -> (int * bool) list
 (** Literals in increasing variable order. *)
 

@@ -2,6 +2,11 @@ module Bv = Lr_bitvec.Bv
 module Rng = Lr_bitvec.Rng
 module N = Lr_netlist.Netlist
 module Instr = Lr_instr.Instr
+module Soa = Lr_kernel.Soa
+
+(* Both circuits' responses on the scoring patterns, from the compiled
+   kernel. *)
+let responses patterns c = Soa.eval_many (Soa.of_netlist c) patterns
 
 let mixture ~rng ~num_inputs ~count =
   let third = (count + 2) / 3 in
@@ -21,8 +26,8 @@ let accuracy_on ~patterns ~golden ~candidate () =
   check_shapes golden candidate;
   Instr.span ~name:"eval.accuracy" @@ fun () ->
   Instr.count "eval.patterns" (Array.length patterns);
-  let want = N.eval_many golden patterns in
-  let got = N.eval_many candidate patterns in
+  let want = responses patterns golden in
+  let got = responses patterns candidate in
   let hits = ref 0 in
   Array.iteri (fun i w -> if Bv.equal w got.(i) then incr hits) want;
   Float.of_int !hits /. Float.of_int (max 1 (Array.length patterns))
@@ -52,8 +57,8 @@ let accuracy_stats ?(runs = 5) ?(count = 10_000) ~rng ~golden ~candidate () =
 let per_output_accuracy ~patterns ~golden ~candidate =
   check_shapes golden candidate;
   let no = N.num_outputs golden in
-  let want = N.eval_many golden patterns in
-  let got = N.eval_many candidate patterns in
+  let want = responses patterns golden in
+  let got = responses patterns candidate in
   let hits = Array.make no 0 in
   Array.iteri
     (fun i w ->

@@ -20,7 +20,8 @@ val accuracy :
   unit ->
   float
 (** Hit rate in [0, 1]. Default [count] is 30_000. Requires identical
-    PI/PO counts. Scoring runs on [Netlist.eval_many]. *)
+    PI/PO counts. Scoring simulates on the compiled [Lr_kernel.Soa]
+    kernel. *)
 
 val accuracy_on :
   patterns:Lr_bitvec.Bv.t array ->

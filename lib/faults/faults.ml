@@ -296,33 +296,45 @@ let spike t =
   end
   else 0.0
 
-let in_window t q =
-  q >= t.spec.onset
-  && (t.spec.duration = max_int || q - t.spec.onset < t.spec.duration)
+(* Lanes [lo .. hi - 1] of a word, clipped to [0, 64]. *)
+let lanes_between lo hi =
+  let lo = max 0 lo and hi = min 64 hi in
+  if hi <= lo then 0L
+  else Int64.logand (Bv.lane_mask hi) (Int64.lognot (Bv.lane_mask lo))
 
-let commit t outs =
+let commit t ~n blocks =
   let served_before = t.served and corrupt_before = t.corrupt in
-  let outs =
-    match t.spec.corruption with
-    | None ->
-        t.served <- t.served + Array.length outs;
-        outs
-    | Some c ->
-        Array.map
-          (fun o ->
-            let q = t.served in
-            t.served <- q + 1;
-            if in_window t q && t.spec.victim < Bv.length o then begin
-              let o' = Bv.copy o in
-              (match c with
-              | Flip -> Bv.set o' t.spec.victim (not (Bv.get o t.spec.victim))
-              | Stuck_at v -> Bv.set o' t.spec.victim v);
-              if not (Bv.equal o o') then t.corrupt <- t.corrupt + 1;
-              o'
-            end
-            else o)
-          outs
-  in
+  (match t.spec.corruption with
+  | None -> ()
+  | Some c ->
+      (* the window as query ordinals [lo, hi) of this key's stream *)
+      let lo = t.spec.onset in
+      let hi =
+        if t.spec.duration >= max_int - lo then max_int
+        else lo + t.spec.duration
+      in
+      Array.iteri
+        (fun b outs ->
+          let first = t.served + (64 * b) in
+          let lanes = min 64 (n - (64 * b)) in
+          let window =
+            Int64.logand (Bv.lane_mask lanes)
+              (lanes_between (lo - first) (hi - first))
+          in
+          let v = t.spec.victim in
+          if window <> 0L && v >= 0 && v < Array.length outs then begin
+            let w = outs.(v) in
+            let w' =
+              match c with
+              | Flip -> Int64.logxor w window
+              | Stuck_at true -> Int64.logor w window
+              | Stuck_at false -> Int64.logand w (Int64.lognot window)
+            in
+            outs.(v) <- w';
+            t.corrupt <- t.corrupt + Bv.popcount64 (Int64.logxor w w')
+          end)
+        blocks);
+  t.served <- t.served + n;
   t.batch <- t.batch + 1;
   if t.corrupt > corrupt_before then
     Log.debug ~key:"faults.corrupt"
@@ -333,13 +345,12 @@ let commit t outs =
           Log.int "corrupted" (t.corrupt - corrupt_before);
         ]
       "fault schedule corrupted query answers";
-  (match t.spec.exhaust_after with
+  match t.spec.exhaust_after with
   | Some n when served_before < n && t.served >= n ->
       Log.warn
         ~fields:[ Log.int "key" t.key; Log.int "after" n ]
         "fault stream reports premature budget exhaustion"
-  | _ -> ());
-  outs
+  | _ -> ()
 
 let exhausted t =
   match t.spec.exhaust_after with Some n -> t.served >= n | None -> false

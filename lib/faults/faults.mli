@@ -137,11 +137,14 @@ val spike : t -> float
     schedule has no spike here); counts a spike when nonzero. Call once
     per successful batch. *)
 
-val commit : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
-(** Complete the current batch: apply the corruption window to each
-    output vector in order (corrupted vectors are fresh copies — inputs
-    are never mutated), advance the queries-served and batch cursors.
-    Counts one corruption per corrupted query. *)
+val commit : t -> n:int -> int64 array array -> unit
+(** Complete the current batch of [n] queries, given word-major: block
+    [b] holds one word per output, lane [k] answering query [64b + k]
+    (lanes at or past [n] are ignored). Applies the corruption window in
+    place — the victim output's word, under the mask of lanes whose
+    query ordinal on this stream falls inside [onset, onset + duration)
+    — and advances the queries-served and batch cursors. Counts one
+    corruption per query whose victim bit changed. *)
 
 val exhausted : t -> bool
 (** True once [exhaust_after] queries have been served on this stream. *)

@@ -72,12 +72,17 @@ type result = {
   table : bool array option;
 }
 
+let query1 (oracle : Oracle.Words.t) words ~lanes =
+  (oracle.Oracle.Words.query ~n:lanes [| words |]).(0)
+
 (* Constrained pattern sampling at one tree node: returns per-variable
    dependency counts over [free] and the truth ratio, from
    [rounds * (|free| + 1)] oracle queries. The toggle statistics mirror
-   Algorithm 1 with the shared-base-batch optimisation. *)
-let sample_node cfg ~rng (oracle : Oracle.t) cube free =
-  let n = oracle.Oracle.arity in
+   Algorithm 1 with the shared-base-batch optimisation: toggling input
+   [i] in every lane is complementing its word, and the lanes where the
+   output moved are the set bits of [base_out xor out]. *)
+let sample_node cfg ~rng (oracle : Oracle.Words.t) cube free =
+  let n = oracle.Oracle.Words.arity in
   let nfree = Array.length free in
   let rounds = cfg.node_rounds in
   let dependency = Array.make n 0 in
@@ -86,30 +91,22 @@ let sample_node cfg ~rng (oracle : Oracle.t) cube free =
   while !done_rounds < rounds do
     let blk = min 64 (rounds - !done_rounds) in
     let bias = cfg.biases.(!done_rounds / 8 mod Array.length cfg.biases) in
-    let base =
-      Array.init blk (fun _ ->
-          let a = Bv.random_biased rng bias n in
-          Cube.force cube a;
-          a)
+    let words =
+      Lr_sampling.Pattern_sampling.draw_block ~rng cube ~lanes:blk bias
     in
-    let base_out = oracle.Oracle.query base in
-    Array.iter (fun b -> if b then incr ones) base_out;
+    let live = Bv.lane_mask blk in
+    let base_out = Int64.logand live (query1 oracle words ~lanes:blk) in
+    ones := !ones + Bv.popcount64 base_out;
     total := !total + blk;
     for fi = 0 to nfree - 1 do
       let i = free.(fi) in
-      let flipped =
-        Array.map
-          (fun a ->
-            let a' = Bv.copy a in
-            Bv.flip a' i;
-            a')
-          base
-      in
-      let out = oracle.Oracle.query flipped in
-      for k = 0 to blk - 1 do
-        if out.(k) then incr ones;
-        if out.(k) <> base_out.(k) then dependency.(i) <- dependency.(i) + 1
-      done;
+      let w = words.(i) in
+      words.(i) <- Int64.lognot w;
+      let out = Int64.logand live (query1 oracle words ~lanes:blk) in
+      words.(i) <- w;
+      ones := !ones + Bv.popcount64 out;
+      dependency.(i) <-
+        dependency.(i) + Bv.popcount64 (Int64.logxor out base_out);
       total := !total + blk
     done;
     done_rounds := !done_rounds + blk
@@ -137,8 +134,8 @@ let rec freeze cell =
   | Csplit (var, low, high) ->
       Split { cube = cell.ccube; var; low = freeze low; high = freeze high }
 
-let learn ?support cfg ~rng (oracle : Oracle.t) =
-  let n = oracle.Oracle.arity in
+let learn_words ?support cfg ~rng (oracle : Oracle.Words.t) =
+  let n = oracle.Oracle.Words.arity in
   let support =
     match support with Some s -> s | None -> List.init n Fun.id
   in
@@ -164,7 +161,7 @@ let learn ?support cfg ~rng (oracle : Oracle.t) =
       if value then onset := cube :: !onset else offset := cube :: !offset
     in
     let budget_spent =
-      oracle.Oracle.exhausted () || !expanded > cfg.max_nodes
+      oracle.Oracle.Words.exhausted () || !expanded > cfg.max_nodes
     in
     if budget_spent then begin
       (* Algorithm 2, TimeLimit branch: approximate by majority. A cheap
@@ -175,9 +172,10 @@ let learn ?support cfg ~rng (oracle : Oracle.t) =
             Cube.force cube a;
             a)
       in
-      let out = oracle.Oracle.query probes in
-      let ones = Array.fold_left (fun c b -> if b then c + 1 else c) 0 out in
-      leaf (2 * ones > Array.length out) true
+      let words = Bv.columns n probes ~pos:0 ~lanes:32 in
+      let out = query1 oracle words ~lanes:32 in
+      let ones = Bv.popcount64 (Int64.logand (Bv.lane_mask 32) out) in
+      leaf (2 * ones > 32) true
     end
     else begin
       let dependency, ratio = sample_node cfg ~rng oracle cube free in
@@ -221,41 +219,64 @@ let learn ?support cfg ~rng (oracle : Oracle.t) =
     table = None;
   }
 
-let learn_exhaustive ~rng:_ ~support (oracle : Oracle.t) =
+let learn ?support cfg ~rng oracle =
+  learn_words ?support cfg ~rng (Oracle.to_words oracle)
+
+(* Support input [j]'s word in the block of minterms [64b .. 64b + 63]:
+   bit [j] of the minterm index. Below 6 it varies within the block (the
+   classic truth-table column constants); from 6 up it is bit [j - 6] of
+   [b], the same in every lane. *)
+let minterm_column j b =
+  match j with
+  | 0 -> 0xAAAAAAAAAAAAAAAAL
+  | 1 -> 0xCCCCCCCCCCCCCCCCL
+  | 2 -> 0xF0F0F0F0F0F0F0F0L
+  | 3 -> 0xFF00FF00FF00FF00L
+  | 4 -> 0xFFFF0000FFFF0000L
+  | 5 -> 0xFFFFFFFF00000000L
+  | _ -> if (b lsr (j - 6)) land 1 = 1 then -1L else 0L
+
+let learn_exhaustive_words ~rng:_ ~support (oracle : Oracle.Words.t) =
   let k = List.length support in
   if k > 20 then invalid_arg "Fbdt.learn_exhaustive: support too large";
-  let n = oracle.Oracle.arity in
+  let n = oracle.Oracle.Words.arity in
   let support = Array.of_list support in
-  let patterns =
-    Array.init (1 lsl k) (fun m ->
-        let a = Bv.create n in
-        Array.iteri (fun j v -> Bv.set a v ((m lsr j) land 1 = 1)) support;
-        a)
+  let total = 1 lsl k in
+  (* every minterm in one batch, inputs outside the support pinned to 0 *)
+  let blocks =
+    Array.init ((total + 63) / 64) (fun b ->
+        let words = Array.make n 0L in
+        Array.iteri (fun j v -> words.(v) <- minterm_column j b) support;
+        words)
   in
-  let out = oracle.Oracle.query patterns in
+  let out = oracle.Oracle.Words.query ~n:total blocks in
+  let table =
+    Array.init total (fun m ->
+        Int64.logand (Int64.shift_right_logical out.(m lsr 6) (m land 63)) 1L
+        = 1L)
+  in
+  let cube = Cube.of_minterm n support in
   let onset = ref [] and offset = ref [] in
   let ones = ref 0 in
   Array.iteri
     (fun m b ->
-      let cube =
-        Array.to_list support
-        |> List.mapi (fun j v -> (v, (m lsr j) land 1 = 1))
-        |> Cube.of_literals n
-      in
       if b then begin
         incr ones;
-        onset := cube :: !onset
+        onset := cube m :: !onset
       end
-      else offset := cube :: !offset)
-    out;
-  Instr.count "fbdt.nodes" (1 lsl k);
-  Instr.count "fbdt.cubes" (1 lsl k);
+      else offset := cube m :: !offset)
+    table;
+  Instr.count "fbdt.nodes" total;
+  Instr.count "fbdt.cubes" total;
   {
     onset = Cover.of_cubes n !onset;
     offset = Cover.of_cubes n !offset;
-    truth_ratio = Float.of_int !ones /. Float.of_int (1 lsl k);
+    truth_ratio = Float.of_int !ones /. Float.of_int total;
     complete = true;
-    nodes_expanded = 1 lsl k;
+    nodes_expanded = total;
     tree = None;
-    table = Some (Array.copy out);
+    table = Some table;
   }
+
+let learn_exhaustive ~rng ~support oracle =
+  learn_exhaustive_words ~rng ~support (Oracle.to_words oracle)

@@ -80,10 +80,28 @@ val learn :
   result
 (** Build the FBDT. [support] restricts branching variables (from support
     identification); unsampled inputs are still randomised in queries, so an
-    under-approximated support degrades accuracy, never soundness. *)
+    under-approximated support degrades accuracy, never soundness.
+    {!learn_words} on [Oracle.to_words oracle]. *)
+
+val learn_words :
+  ?support:int list ->
+  config ->
+  rng:Lr_bitvec.Rng.t ->
+  Oracle.Words.t ->
+  result
+(** The FBDT learner itself, on a word-major oracle. A node's sampling
+    sends one block of up to 64 base assignments and then, per free
+    input, the same block with that input's word complemented; the
+    dependency count is the popcount of the output words' difference. *)
 
 val learn_exhaustive :
   rng:Lr_bitvec.Rng.t -> support:int list -> Oracle.t -> result
 (** The small-function conquest: query all [2^|support|] minterms (inputs
-    outside the support pinned to 0) and return exact minterm covers.
-    Requires [|support| <= 20]. *)
+    outside the support pinned to 0) in one batch and return exact
+    minterm covers. Requires [|support| <= 20].
+    {!learn_exhaustive_words} on [Oracle.to_words oracle]. *)
+
+val learn_exhaustive_words :
+  rng:Lr_bitvec.Rng.t -> support:int list -> Oracle.Words.t -> result
+(** {!learn_exhaustive} on a word-major oracle: the minterm blocks are
+    built as words directly. *)

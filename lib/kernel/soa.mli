@@ -1,19 +1,21 @@
-(** Structure-of-arrays circuit simulation kernel.
+(** The compiled circuit simulator: the one engine behind black-box
+    queries and accuracy scoring.
 
-    A compiled, cache-friendly form of a combinational circuit: one flat
-    opcode byte per node, flat [int array] fanins, and a topologically
-    batched evaluation schedule. Simulation walks the schedule with
-    word-parallel (64 patterns/word) operations and no per-node allocation.
+    A circuit is compiled once ({!of_netlist}) into a flat program. Nodes
+    are renumbered level by level and, inside a level, grouped by
+    operation, so simulation is a list of runs of one operation each and
+    the inner loops never dispatch per node. Node values are 64-pattern
+    words kept unboxed in a byte buffer (a {!scratch}), so a simulation
+    pass allocates nothing per node.
 
-    Nothing in the production pipeline runs on this module: the
-    tree-walking evaluators in [Lr_netlist] and [Lr_aig] are the only
-    engines, because they measured faster end to end. [Soa] stays as the
-    candidate for a future unboxed engine; the benchmark's per-layer
-    replay times it against [Netlist.eval_words], and the differential
-    properties in [test/prop.ml] pin it bit-identical to that reference.
+    [Lr_blackbox.Blackbox] compiles its circuit when the box is made and
+    gives every box and every accounting shard a scratch of its own; all
+    of its query paths run here, and so does [Lr_eval.Eval]'s scoring.
+    [Netlist.eval_words] stays the reference evaluator: the differential
+    properties in [test/prop.ml] pin this module bit-identical to it.
 
-    Node ids are preserved by {!of_netlist}: node [n] here is node [n] of
-    the source netlist. *)
+    A compiled program is immutable and may be shared between domains; a
+    scratch must be used by one domain at a time. *)
 
 type t
 
@@ -21,35 +23,23 @@ val of_netlist : Lr_netlist.Netlist.t -> t
 (** Compile a netlist. Bit-identical node semantics to
     [Netlist.eval_words], including unreachable nodes. *)
 
-val num_nodes : t -> int
-val num_inputs : t -> int
-val num_outputs : t -> int
+type scratch
+(** Node-value storage for one simulation at a time. *)
 
-val num_levels : t -> int
-(** Depth of the topological batching: constants and inputs are level 0,
-    a gate is one past its deepest fanin. *)
+val scratch : t -> scratch
 
-val schedule : t -> int array
-(** The evaluation order: a permutation of all nodes, level-major
-    (every batch's fanins live in strictly earlier batches). *)
-
-val level_offsets : t -> int array
-(** [num_levels + 1] offsets into {!schedule} delimiting the batches. *)
-
-val depends_on_arg0 : t -> int -> bool
-val depends_on_arg1 : t -> int -> bool
-(** Whether the node's opcode reads the first / second fanin slot as a
-    node value (constants read neither; inputs read neither — their slot
-    holds the input index). *)
-
-val arg0 : t -> int -> int
-val arg1 : t -> int -> int
+val eval_into : t -> scratch -> int64 array -> int64 array
+(** [eval_into t s words] — one word per input in, one word per output
+    out, simulated in [s]. Counts one ["sim.gate-words"] per node of
+    the compiled circuit. *)
 
 val eval_words : t -> int64 array -> int64 array
 (** Drop-in for [Netlist.eval_words]: same output words, same
-    ["sim.gate-words"] accounting. *)
+    ["sim.gate-words"] accounting. Simulates in a scratch the calling
+    domain keeps for these calls. *)
 
 val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Drop-in for [Netlist.eval_many]: same results, same ["sim.patterns"]
-    accounting. Internally simulates several 64-pattern blocks per pass
-    over the schedule (wide blocks). *)
+    and ["sim.gate-words"] accounting; the patterns are transposed into
+    64-pattern blocks and back. Uses the same per-domain scratch as
+    {!eval_words}. *)

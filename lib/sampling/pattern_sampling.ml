@@ -12,6 +12,16 @@ type stats = {
 
 let default_biases = [| 0.5; 0.1; 0.9; 0.5; 0.25; 0.75; 0.5; 0.03; 0.97 |]
 
+let draw_block ~rng cube ~lanes bias =
+  let n = Cube.universe cube in
+  let base =
+    Array.init lanes (fun _ ->
+        let a = Bv.random_biased rng bias n in
+        Cube.force cube a;
+        a)
+  in
+  Bv.columns n base ~pos:0 ~lanes
+
 let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
   let ni = Box.num_inputs box and no = Box.num_outputs box in
   if Cube.universe constraint_ <> ni then
@@ -26,43 +36,33 @@ let run ~rounds ?(biases = default_biases) ~rng box ~constraint_ () =
   let ones = Array.make no 0 in
   let samples = ref 0 in
   let done_rounds = ref 0 in
-  (* Process rounds in blocks of 64 so each toggle column is one
-     word-parallel query batch. *)
+  let count_ones live out =
+    for o = 0 to no - 1 do
+      ones.(o) <- ones.(o) + Bv.popcount64 (Int64.logand live out.(o))
+    done
+  in
+  (* Process rounds in blocks of 64: the block's base assignments are
+     transposed once to one word per input, and toggling input [i] in
+     every lane is complementing word [i] — one word-parallel query. *)
   while !done_rounds < rounds do
     let blk = min 64 (rounds - !done_rounds) in
     let bias = biases.(!done_rounds / 64 mod Array.length biases) in
-    let base =
-      Array.init blk (fun _ ->
-          let a = Bv.random_biased rng bias ni in
-          Cube.force constraint_ a;
-          a)
-    in
-    let base_out = Box.query_many box base in
-    Array.iter
-      (fun out ->
-        for o = 0 to no - 1 do
-          if Bv.get out o then ones.(o) <- ones.(o) + 1
-        done)
-      base_out;
+    let words = draw_block ~rng constraint_ ~lanes:blk bias in
+    let live = Bv.lane_mask blk in
+    let base_out = Box.query_words ~lanes:blk box words in
+    count_ones live base_out;
     samples := !samples + blk;
     for fi = 0 to nfree - 1 do
       let i = free.(fi) in
-      let flipped =
-        Array.map
-          (fun a ->
-            let a' = Bv.copy a in
-            Bv.flip a' i;
-            a')
-          base
-      in
-      let flip_out = Box.query_many box flipped in
-      for k = 0 to blk - 1 do
-        for o = 0 to no - 1 do
-          let v = Bv.get flip_out.(k) o in
-          if v then ones.(o) <- ones.(o) + 1;
-          if v <> Bv.get base_out.(k) o then
-            dependency.(o).(i) <- dependency.(o).(i) + 1
-        done
+      let w = words.(i) in
+      words.(i) <- Int64.lognot w;
+      let out = Box.query_words ~lanes:blk box words in
+      words.(i) <- w;
+      count_ones live out;
+      for o = 0 to no - 1 do
+        let moved = Int64.logxor out.(o) base_out.(o) in
+        dependency.(o).(i) <-
+          dependency.(o).(i) + Bv.popcount64 (Int64.logand live moved)
       done;
       samples := !samples + blk
     done;

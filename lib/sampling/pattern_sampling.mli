@@ -34,6 +34,14 @@ val default_biases : float array
 (** Mix of 0/1 densities used round-robin: even, strongly and mildly
     uneven — the "combined sampling strategy" of Section IV-C. *)
 
+val draw_block :
+  rng:Lr_bitvec.Rng.t -> Lr_cube.Cube.t -> lanes:int -> float -> int64 array
+(** [draw_block ~rng cube ~lanes bias] draws [lanes] (at most 64) full
+    assignments over the cube's universe, each with 1-density [bias]
+    ([Bv.random_biased]) and projected into [cube], and transposes them
+    to one word per input: bit [k] of word [i] is input [i] of
+    assignment [k]. One block of base assignments for toggle sampling. *)
+
 val run :
   rounds:int ->
   ?biases:float array ->

@@ -35,6 +35,7 @@ module Equiv = Lr_aig.Equiv
 module Fp = Lr_serve.Fingerprint
 module Scache = Lr_serve.Cache
 module Soa = Lr_kernel.Soa
+module Instr = Lr_instr.Instr
 
 (* ---------------- the harness ---------------- *)
 
@@ -291,8 +292,8 @@ let prop_evaluators_agree () =
 
 (* the compiled kernel against the tree-walking reference, over random
    recipes x random pattern blocks: both simulation entry points of
-   [Lr_kernel.Soa] must be bit-identical to the evaluators the pipeline
-   runs on *)
+   [Lr_kernel.Soa], which answers every black-box query, must be
+   bit-identical to the reference [Netlist] evaluators *)
 let prop_soa_netlist_identical () =
   check_prop "Soa.of_netlist == Netlist evaluators" arb_recipe (fun r ->
       let c = build_netlist r in
@@ -330,6 +331,198 @@ let test_kernel_degenerate () =
   let rng = Rng.create 53 in
   let w = words rng 2 in
   check_words "0-gate eval_words" (N.eval_words c1 w) (Soa.eval_words s1 w)
+
+(* ---------------- the word-major query path ---------------- *)
+
+(* [query_words] (or, past 64 lanes, [query_blocks]) on a word block
+   transposed from [pats], answered back as vectors *)
+let query_as_words box pats =
+  let n = Array.length pats and ni = Box.num_inputs box in
+  let lanes b = min 64 (n - (64 * b)) in
+  let block b = Bv.columns ni pats ~pos:(64 * b) ~lanes:(lanes b) in
+  let outs =
+    if n <= 64 then [| Box.query_words ~lanes:n box (block 0) |]
+    else Box.query_blocks box ~n (Array.init ((n + 63) / 64) block)
+  in
+  Array.concat
+    (Array.to_list
+       (Array.mapi (fun b w -> Bv.of_columns w ~lanes:(lanes b)) outs))
+
+let same_accounting a b =
+  Box.queries_used a = Box.queries_used b
+  && Box.queries_by_span a = Box.queries_by_span b
+  && Lr_report.Histogram.count (Box.query_latency a)
+     = Lr_report.Histogram.count (Box.query_latency b)
+  && Box.retries_used a = Box.retries_used b
+  && Box.faults_seen a = Box.faults_seen b
+
+(* batch sizes around the 64-lane word: ragged, full, and multi-block *)
+let batch_sizes rng k =
+  List.init k (fun _ ->
+      match Rng.int rng 4 with
+      | 0 -> 64
+      | 1 -> 65 + Rng.int rng 70
+      | _ -> 1 + Rng.int rng 64)
+
+(* Same batches through both entry points of two fresh boxes: identical
+   answers lane by lane (and equal to the reference evaluator), and
+   identical counts, span attribution and latency weight. *)
+let prop_query_words_differential () =
+  check_prop ~count:40 "query_words == query_many" arb_recipe (fun r ->
+      let c = build_netlist r in
+      let rng = Rng.create 61 in
+      let by_vec = Box.of_netlist c and by_word = Box.of_netlist c in
+      List.for_all
+        (fun n ->
+          let pats = Array.init n (fun _ -> Bv.random rng r.ni) in
+          let span = Printf.sprintf "batch%d" (n mod 3) in
+          let want =
+            Instr.span ~name:span (fun () -> Box.query_many by_vec pats)
+          in
+          let got =
+            Instr.span ~name:span (fun () -> query_as_words by_word pats)
+          in
+          Array.for_all2 Bv.equal want (N.eval_many c pats)
+          && Array.for_all2 Bv.equal want got)
+        (batch_sizes rng 6)
+      && same_accounting by_vec by_word)
+
+(* A strict shard refuses the same batch, at the same count, whichever
+   entry point sends it. *)
+let prop_strict_exhaustion_point () =
+  check_prop ~count:40 "strict shards refuse at the same query" arb_recipe
+    (fun r ->
+      let c = build_netlist r in
+      let rng = Rng.create 67 in
+      let budget = Rng.int rng 300 in
+      let sizes = batch_sizes rng 8 in
+      let run send =
+        let s = Box.shard ~budget ~strict:true (Box.of_netlist c) in
+        let rec go i = function
+          | [] -> (-1, Box.queries_used s)
+          | n :: rest -> (
+              let pats = Array.make n (Bv.create r.ni) in
+              match send s pats with
+              | _ -> go (i + 1) rest
+              | exception Box.Exhausted { used; _ } -> (i, used))
+        in
+        go 0 sizes
+      in
+      run Box.query_many = run query_as_words)
+
+(* a recipe under a schedule that mixes every fault class: transient
+   failures (sometimes outlasting the retry policy), latency spikes,
+   a flipped or stuck victim bit inside an onset window, premature
+   exhaustion *)
+let arb_fault_mix =
+  {
+    gen =
+      (fun rng size ->
+        let r = arb_recipe.gen rng size in
+        let spec =
+          {
+            F.seed = 1 + Rng.int rng 10_000;
+            fail_p = float_of_int (Rng.int rng 40) /. 100.0;
+            fail_burst = 1 + Rng.int rng 3;
+            latency_p = 0.2;
+            latency_s = 0.0;
+            corruption =
+              Some
+                (match Rng.int rng 3 with
+                | 0 -> F.Flip
+                | k -> F.Stuck_at (k = 1));
+            victim = Rng.int rng (r.no + 1);
+            onset = Rng.int rng 150;
+            duration = (if Rng.bool rng then max_int else 1 + Rng.int rng 200);
+            exhaust_after = Some (50 + Rng.int rng 400);
+          }
+        in
+        (r, spec));
+    shrink =
+      (fun (r, spec) -> List.map (fun r -> (r, spec)) (arb_recipe.shrink r));
+    print =
+      (fun (r, spec) ->
+        Printf.sprintf "%s under %s" (arb_recipe.print r) (F.to_string spec));
+  }
+
+(* The schedule's corruption replayed query by query on the reference
+   evaluator's answers: query [q] of the key's stream (counting only
+   batches that were served) has its victim bit flipped or stuck when
+   [q] lies in [onset, onset + duration). Returns the expected answers
+   per batch ([None] where the box failed it) and the corruption count. *)
+let reference_corruption c (spec : F.spec) batches served_flags =
+  let served = ref 0 and corrupt = ref 0 in
+  let answers =
+    List.map2
+      (fun pats ok ->
+        if not ok then None
+        else
+          Some
+            (Array.map
+               (fun o ->
+                 let q = !served in
+                 incr served;
+                 let in_window =
+                   q >= spec.F.onset
+                   && (spec.F.duration = max_int
+                      || q - spec.F.onset < spec.F.duration)
+                 in
+                 let v = spec.F.victim in
+                 if in_window && v >= 0 && v < Bv.length o then begin
+                   let o' = Bv.copy o in
+                   (match spec.F.corruption with
+                   | Some F.Flip -> Bv.flip o' v
+                   | Some (F.Stuck_at b) -> Bv.set o' v b
+                   | None -> ());
+                   if not (Bv.equal o o') then incr corrupt;
+                   Bv.to_string o'
+                 end
+                 else Bv.to_string o)
+               (N.eval_many c pats)))
+      batches served_flags
+  in
+  (answers, !corrupt)
+
+(* Under that schedule both entry points see the same outputs, the same
+   failures, the same exhaustion, and count the same faults and retries;
+   and the answers and the corruption count are those of the schedule
+   replayed query by query on the reference evaluator. *)
+let prop_faulted_query_words () =
+  check_prop ~count:40 "faulted query_words == query_many" arb_fault_mix
+    (fun (r, spec) ->
+      let c = build_netlist r in
+      let rng = Rng.create 71 in
+      let batches =
+        List.map
+          (fun n -> Array.init n (fun _ -> Bv.random rng r.ni))
+          (batch_sizes rng 8)
+      in
+      let run send =
+        let box = Box.of_netlist c in
+        Box.set_faults ~key:3 box (Some spec);
+        Box.set_retry box (F.retry ~backoff_s:0.0 3);
+        let answers =
+          List.map
+            (fun pats ->
+              let out =
+                match send box pats with
+                | outs -> Some (Array.map Bv.to_string outs)
+                | exception F.Query_failed _ -> None
+              in
+              (out, Box.exhausted box))
+            batches
+        in
+        (box, answers)
+      in
+      let vec, a = run Box.query_many and word, b = run query_as_words in
+      let want, corrupt =
+        reference_corruption c spec batches
+          (List.map (fun (out, _) -> out <> None) a)
+      in
+      a = b
+      && same_accounting vec word
+      && List.map fst a = want
+      && List.assoc "corrupt" (Box.faults_seen vec) = corrupt)
 
 (* ---------------- fault injection ---------------- *)
 
@@ -475,6 +668,12 @@ let tests =
       prop_soa_netlist_identical;
     Alcotest.test_case "kernel degenerate shapes" `Quick
       test_kernel_degenerate;
+    Alcotest.test_case "query_words == query_many" `Quick
+      prop_query_words_differential;
+    Alcotest.test_case "strict shards refuse at the same query" `Quick
+      prop_strict_exhaustion_point;
+    Alcotest.test_case "faulted query_words == query_many" `Quick
+      prop_faulted_query_words;
     Alcotest.test_case "transient fault transparency" `Quick
       prop_transient_faults_transparent;
     Alcotest.test_case "degraded netlists lint clean" `Quick

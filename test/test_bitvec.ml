@@ -119,6 +119,35 @@ let prop_flip_involution =
       Bv.flip w i;
       Bv.equal v w)
 
+(* word-major transposes: bit k of column i is bit i of vector k, both
+   ways, across word boundaries and with ragged lane counts *)
+let test_columns () =
+  let rng = Rng.create 23 in
+  List.iter
+    (fun (n, lanes) ->
+      let pats = Array.init (lanes + 3) (fun _ -> Bv.random rng n) in
+      let cols = Bv.columns n pats ~pos:3 ~lanes in
+      Alcotest.(check int) "one word per bit" n (Array.length cols);
+      for i = 0 to n - 1 do
+        for k = 0 to 63 do
+          let bit =
+            Int64.logand (Int64.shift_right_logical cols.(i) k) 1L = 1L
+          in
+          Alcotest.(check bool)
+            "column bit" (k < lanes && Bv.get pats.(3 + k) i) bit
+        done
+      done;
+      let back = Bv.of_columns cols ~lanes in
+      Alcotest.(check int) "lanes back" lanes (Array.length back);
+      Array.iteri
+        (fun k v ->
+          Alcotest.(check bool) "round trip" true (Bv.equal v pats.(3 + k)))
+        back)
+    [ (1, 1); (5, 64); (63, 17); (64, 64); (65, 33); (130, 64); (7, 0) ];
+  Alcotest.(check int64) "lane_mask 0" 0L (Bv.lane_mask 0);
+  Alcotest.(check int64) "lane_mask 64" (-1L) (Bv.lane_mask 64);
+  Alcotest.(check int) "popcount64" 17 (Bv.popcount64 (Bv.lane_mask 17))
+
 let tests =
   [
     Alcotest.test_case "set/get across words" `Quick test_set_get;
@@ -135,4 +164,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_popcount;
     QCheck_alcotest.to_alcotest prop_flip_involution;
+    Alcotest.test_case "columns/of_columns transpose" `Quick test_columns;
   ]

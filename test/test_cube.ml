@@ -140,6 +140,38 @@ let prop_intersect_semantics =
           lhs = (Cube.satisfies a x && Cube.satisfies b x))
         (List.init 32 Fun.id))
 
+(* the direct minterm constructor against the literal-by-literal one,
+   on random universes, supports and minterms *)
+let test_of_minterm () =
+  let rng = Lr_bitvec.Rng.create 17 in
+  for _ = 1 to 200 do
+    let n = 1 + Lr_bitvec.Rng.int rng 150 in
+    let k = Lr_bitvec.Rng.int rng (min n 20 + 1) in
+    (* k distinct variables in random order *)
+    let perm = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Lr_bitvec.Rng.int rng (i + 1) in
+      let x = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- x
+    done;
+    let vars = Array.sub perm 0 k in
+    let mk = Cube.of_minterm n vars in
+    for _ = 1 to 4 do
+      let m = Lr_bitvec.Rng.int rng (1 lsl k) in
+      let want =
+        Cube.of_literals n
+          (Array.to_list
+             (Array.mapi (fun j v -> (v, (m lsr j) land 1 = 1)) vars))
+      in
+      let got = mk m in
+      check "of_minterm equal" true (Cube.equal want got);
+      check_int "of_minterm compare" 0 (Cube.compare want got);
+      check_int "of_minterm hash" (Cube.hash want) (Cube.hash got);
+      check_str "of_minterm PLA" (Cube.to_string want) (Cube.to_string got)
+    done
+  done
+
 let tests =
   [
     Alcotest.test_case "literal construction" `Quick test_literals;
@@ -157,4 +189,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_scc_preserves;
     QCheck_alcotest.to_alcotest prop_complement;
     QCheck_alcotest.to_alcotest prop_intersect_semantics;
+    Alcotest.test_case "of_minterm == of_literals" `Quick test_of_minterm;
   ]

@@ -102,7 +102,7 @@ let test_schedule_deterministic () =
     let f = F.instantiate spec ~key in
     List.init 64 (fun _ ->
         let failed = F.attempt_fails f ~attempt:0 in
-        ignore (F.commit f [||]);
+        F.commit f ~n:0 [||];
         failed)
   in
   check_bool "same key replays the same schedule" true (run 3 = run 3);

@@ -1,63 +1,15 @@
-(* The SoA simulation kernel's topological batching contract, and the
-   end-to-end bit-identity leg for the engines that do all of the
+(* The end-to-end bit-identity leg for the engines that do all of the
    simulation-heavy work (fraig, CEC, self-checks, sweep): a learn with
    the full sweep and full checks is identical at jobs=1 and jobs=4, down
    to the query attribution. *)
 
-module Rng = Lr_bitvec.Rng
 module Io = Lr_netlist.Io
-module Soa = Lr_kernel.Soa
 module Cases = Lr_cases.Cases
 module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* random circuits come from the shared recipe generator in [Prop] so a
-   failure here shrinks the same way the differential properties do *)
-let random_recipe rng size = Prop.(arb_recipe.gen) rng size
-
-(* ---------------- topological batching ---------------- *)
-
-let test_batching () =
-  let rng = Rng.create 101 in
-  for size = 1 to 20 do
-    let c = Prop.build_netlist (random_recipe rng size) in
-    let s = Soa.of_netlist c in
-    let n = Soa.num_nodes s in
-    let sched = Soa.schedule s in
-    check_int "schedule covers every node" n (Array.length sched);
-    let seen = Array.make n false in
-    Array.iter
-      (fun k ->
-        check "schedule has no duplicates" false seen.(k);
-        seen.(k) <- true)
-      sched;
-    let offs = Soa.level_offsets s in
-    check_int "one offset per level boundary"
-      (Soa.num_levels s + 1)
-      (Array.length offs);
-    check_int "first offset" 0 offs.(0);
-    check_int "last offset" n offs.(Soa.num_levels s);
-    (* recover each node's level from its batch, then demand that every
-       read fanin lives in a strictly earlier batch *)
-    let level = Array.make n 0 in
-    for l = 0 to Soa.num_levels s - 1 do
-      check "offsets nondecreasing" true (offs.(l) <= offs.(l + 1));
-      for i = offs.(l) to offs.(l + 1) - 1 do
-        level.(sched.(i)) <- l
-      done
-    done;
-    for k = 0 to n - 1 do
-      if Soa.depends_on_arg0 s k then
-        check "arg0 scheduled strictly earlier" true
-          (level.(Soa.arg0 s k) < level.(k));
-      if Soa.depends_on_arg1 s k then
-        check "arg1 scheduled strictly earlier" true
-          (level.(Soa.arg1 s k) < level.(k))
-    done
-  done
 
 (* ---------------- end-to-end bit-identity ---------------- *)
 
@@ -100,7 +52,6 @@ let test_bit_identity () =
 
 let tests =
   [
-    Alcotest.test_case "topological batching" `Quick test_batching;
     Alcotest.test_case "jobs=1 vs 4, sweep and checks full" `Quick
       test_bit_identity;
   ]
