@@ -126,8 +126,7 @@ let simulate t input_words =
       if lit_phase l then Int64.lognot w else w)
     t.outputs
 
-let of_netlist c =
-  let t = create ~num_inputs:(N.num_inputs c) ~num_outputs:(N.num_outputs c) in
+let import_netlist t c =
   let map = Array.make (N.num_nodes c) lit_false in
   for n = 0 to N.num_nodes c - 1 do
     map.(n) <-
@@ -142,9 +141,11 @@ let of_netlist c =
       | N.Nor2 (a, b) -> not_lit (or_lit t map.(a) map.(b))
       | N.Xnor2 (a, b) -> not_lit (xor_lit t map.(a) map.(b)))
   done;
-  for o = 0 to N.num_outputs c - 1 do
-    set_output t o map.(N.output c o)
-  done;
+  Array.init (N.num_outputs c) (fun o -> map.(N.output c o))
+
+let of_netlist c =
+  let t = create ~num_inputs:(N.num_inputs c) ~num_outputs:(N.num_outputs c) in
+  Array.iteri (set_output t) (import_netlist t c);
   t
 
 let default_names prefix n = Array.init n (fun i -> Printf.sprintf "%s%d" prefix i)

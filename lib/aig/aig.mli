@@ -53,6 +53,11 @@ val simulate_nodes : t -> int64 array -> int64 array
     uncomplemented) — the raw material of fraig signatures. *)
 
 val of_netlist : Lr_netlist.Netlist.t -> t
+
+val import_netlist : t -> Lr_netlist.Netlist.t -> lit array
+(** Adds every node of the netlist to [t] (its PI [i] as input [i]) and
+    returns its outputs' literals. {!of_netlist} and CEC miters use it. *)
+
 val to_netlist :
   ?input_names:string array -> ?output_names:string array -> t ->
   Lr_netlist.Netlist.t

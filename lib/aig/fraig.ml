@@ -35,6 +35,19 @@ module Uf = struct
     end
 end
 
+(* x <-> a /\ b, with operand literals already signed *)
+let and_clauses solver x a b =
+  Sat.add_clause solver [ -x; a ];
+  Sat.add_clause solver [ -x; b ];
+  Sat.add_clause solver [ x; -a; -b ]
+
+(* x <-> a xor b *)
+let xor_clauses solver x a b =
+  Sat.add_clause solver [ -x; a; b ];
+  Sat.add_clause solver [ -x; -a; -b ];
+  Sat.add_clause solver [ x; -a; b ];
+  Sat.add_clause solver [ x; a; -b ]
+
 let cnf_of_aig aig solver =
   (* variable of node n is n+1; node 0 (constant false) pinned by a unit *)
   let n = Aig.num_nodes aig in
@@ -48,41 +61,61 @@ let cnf_of_aig aig solver =
       let v = Aig.lit_node l + 1 in
       if Aig.lit_phase l then -v else v
     in
-    let x = node + 1 and a = dim l0 and b = dim l1 in
-    Sat.add_clause solver [ -x; a ];
-    Sat.add_clause solver [ -x; b ];
-    Sat.add_clause solver [ x; -a; -b ]
+    and_clauses solver (node + 1) (dim l0) (dim l1)
   done
 
-let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
-    ?kernel:_ ~rng aig =
-  let n = Aig.num_nodes aig in
-  let ni = Aig.num_inputs aig in
-  let uf = Uf.create n in
-  let solver = Sat.create () in
-  cnf_of_aig aig solver;
+type outcome = {
+  uf : Uf.t;
+  proved : int;
+  refuted : int;
+  sat_calls : int;
+  rounds : int;
+}
+
+(* pack counterexamples into pattern blocks, 64 per block, so the
+   signature length stays proportional to refinement rounds *)
+let rec pack ni blocks = function
+  | [] -> blocks
+  | cexs ->
+      let chunk, rest =
+        let rec split k acc = function
+          | x :: tl when k < 64 -> split (k + 1) (x :: acc) tl
+          | tl -> acc, tl
+        in
+        split 0 [] cexs
+      in
+      let chunk = Array.of_list chunk in
+      let blk =
+        Array.init ni (fun i ->
+            let w = ref 0L in
+            Array.iteri
+              (fun k cex ->
+                if cex.(i) then w := Int64.logor !w (Int64.shift_left 1L k))
+              chunk;
+            !w)
+      in
+      pack ni (blk :: blocks) rest
+
+let classes ~label ~words ~max_rounds ~max_sat_checks ~rng ~solver ~input_var
+    ~num_nodes:n ~num_inputs:ni ~sim ~on_round =
+  let uf = Uf.create (max n 1) in
   let miter_cache = Hashtbl.create 256 in
-  let sat_checks = ref 0 in
+  let sat_calls = ref 0 and proved = ref 0 and refuted = ref 0 in
   (* pattern blocks: each is one word per input *)
   let blocks = ref [] in
   for _ = 1 to words do
     blocks := Array.init ni (fun _ -> Rng.bits64 rng) :: !blocks
   done;
-  let refuted = Hashtbl.create 256 in
+  let refuted_pairs = Hashtbl.create 256 in
   let prove_equal a b phase =
     (* a = b xor phase ?  check SAT of a xor (b xor phase) *)
-    incr sat_checks;
+    incr sat_calls;
     let t =
       match Hashtbl.find_opt miter_cache (a, b) with
       | Some t -> t
       | None ->
           let t = Sat.new_var solver in
-          let va = a + 1 and vb = b + 1 in
-          (* t <-> va xor vb *)
-          Sat.add_clause solver [ -t; va; vb ];
-          Sat.add_clause solver [ -t; -va; -vb ];
-          Sat.add_clause solver [ t; -va; vb ];
-          Sat.add_clause solver [ t; va; -vb ];
+          xor_clauses solver t (a + 1) (b + 1);
           Hashtbl.replace miter_cache (a, b) t;
           t
     in
@@ -92,23 +125,20 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
     match Sat.solve ~assumptions:[ assumption ] solver with
     | Sat.Unsat -> `Equal
     | Sat.Sat ->
-        let cex = Array.make ni false in
-        for i = 0 to ni - 1 do
-          cex.(i) <- Sat.value solver (i + 2)
-        done;
-        `Counterexample cex
+        `Counterexample
+          (Array.init ni (fun i -> Sat.value solver (input_var i)))
   in
   let round = ref 0 in
   let progress = ref true in
-  while !progress && !round < max_rounds && !sat_checks < max_sat_checks do
+  while !progress && !round < max_rounds && !sat_calls < max_sat_checks do
     incr round;
     progress := false;
     (* signatures over all pattern blocks *)
     let sims =
-      Instr.span ~name:"fraig.sim" (fun () ->
-          List.map (fun blk -> Aig.simulate_nodes aig blk) !blocks)
+      Instr.span ~name:(label ^ ".sim") (fun () ->
+          Instr.count (label ^ ".sim-words") (List.length !blocks * n);
+          List.map sim !blocks)
     in
-    Instr.count "fraig.sim-words" (List.length !blocks * n);
     let signature node = List.map (fun v -> v.(node)) sims in
     let canon sig_ =
       match sig_ with
@@ -128,22 +158,27 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
         Hashtbl.replace classes key (node :: existing)
       end
     done;
+    (* deterministic order: candidate classes (two or more members)
+       sorted by their smallest member *)
+    let candidates =
+      Hashtbl.fold
+        (fun _ members acc ->
+          match members with [ _ ] -> acc | _ -> List.rev members :: acc)
+        classes []
+      |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+    in
     let new_cexs = ref [] in
-    let checks_before = !sat_checks in
-    let conflicts_before = Sat.stats_conflicts solver in
-    let restarts_before = Sat.stats_restarts solver in
-    let proved = ref 0 in
-    Instr.span ~name:"fraig.sat" (fun () ->
-        Hashtbl.iter
-          (fun _ members ->
-            match List.rev members (* ascending ids *) with
-            | [] | [ _ ] -> ()
+    let calls0 = !sat_calls and proved0 = !proved and refuted0 = !refuted in
+    Instr.span ~name:(label ^ ".sat") (fun () ->
+        List.iter
+          (function
+            | [] -> ()
             | rep :: rest ->
                 List.iter
                   (fun m ->
                     if
-                      !sat_checks < max_sat_checks
-                      && not (Hashtbl.mem refuted (rep, m))
+                      !sat_calls < max_sat_checks
+                      && not (Hashtbl.mem refuted_pairs (rep, m))
                     then begin
                       let _, prep = canon (signature rep) in
                       let _, pm = canon (signature m) in
@@ -154,46 +189,53 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
                           incr proved;
                           progress := true
                       | `Counterexample cex ->
-                          Hashtbl.replace refuted (rep, m) ();
+                          Hashtbl.replace refuted_pairs (rep, m) ();
+                          incr refuted;
                           new_cexs := cex :: !new_cexs
                     end)
                   rest)
-          classes);
-    Instr.count "fraig.classes" (Hashtbl.length classes);
-    Instr.count "fraig.sat-calls" (!sat_checks - checks_before);
-    Instr.count "fraig.proved" !proved;
-    Instr.count "fraig.refuted" (List.length !new_cexs);
-    Instr.count "sat.conflicts" (Sat.stats_conflicts solver - conflicts_before);
-    Instr.count "sat.restarts" (Sat.stats_restarts solver - restarts_before);
-    (* pack counterexamples into pattern blocks, 64 per block, so the
-       signature length stays proportional to refinement rounds *)
-    let rec pack = function
-      | [] -> ()
-      | cexs ->
-          let chunk, rest =
-            let rec split k acc = function
-              | x :: tl when k < 64 -> split (k + 1) (x :: acc) tl
-              | tl -> acc, tl
-            in
-            split 0 [] cexs
-          in
-          let chunk = Array.of_list chunk in
-          let blk =
-            Array.init ni (fun i ->
-                let w = ref 0L in
-                Array.iteri
-                  (fun k cex ->
-                    if cex.(i) then w := Int64.logor !w (Int64.shift_left 1L k))
-                  chunk;
-                !w)
-          in
-          blocks := blk :: !blocks;
-          progress := true;
-          pack rest
-    in
-    pack !new_cexs
+          candidates);
+    Instr.count (label ^ ".sat-calls") (!sat_calls - calls0);
+    Instr.count (label ^ ".proved") (!proved - proved0);
+    Instr.count (label ^ ".refuted") (!refuted - refuted0);
+    on_round ~classes:(Hashtbl.length classes);
+    (* counterexamples become new simulation patterns *)
+    if !new_cexs <> [] then begin
+      blocks := pack ni !blocks !new_cexs;
+      progress := true
+    end
   done;
-  Instr.count "fraig.rounds" !round;
+  Instr.count (label ^ ".rounds") !round;
+  {
+    uf;
+    proved = !proved;
+    refuted = !refuted;
+    sat_calls = !sat_calls;
+    rounds = !round;
+  }
+
+let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
+    ?kernel:_ ~rng aig =
+  let n = Aig.num_nodes aig in
+  let ni = Aig.num_inputs aig in
+  let solver = Sat.create () in
+  cnf_of_aig aig solver;
+  (* fraig's own per-round counters: class count and solver effort *)
+  let conflicts = ref (Sat.stats_conflicts solver)
+  and restarts = ref (Sat.stats_restarts solver) in
+  let on_round ~classes =
+    Instr.count "fraig.classes" classes;
+    let c = Sat.stats_conflicts solver and r = Sat.stats_restarts solver in
+    Instr.count "sat.conflicts" (c - !conflicts);
+    Instr.count "sat.restarts" (r - !restarts);
+    conflicts := c;
+    restarts := r
+  in
+  let { uf; _ } =
+    classes ~label:"fraig" ~words ~max_rounds ~max_sat_checks ~rng ~solver
+      ~input_var:(fun i -> Aig.lit_node (Aig.input_lit aig i) + 1)
+      ~num_nodes:n ~num_inputs:ni ~sim:(Aig.simulate_nodes aig) ~on_round
+  in
   (* rebuild with the proven substitutions *)
   Instr.span ~name:"fraig.rebuild" @@ fun () ->
   let out = Aig.create ~num_inputs:ni ~num_outputs:(Aig.num_outputs aig) in
@@ -201,14 +243,8 @@ let sweep ?(words = 16) ?(max_rounds = 64) ?(max_sat_checks = 5000)
   for i = 0 to ni - 1 do
     map.(1 + i) <- Aig.input_lit out i
   done;
-  let resolve node =
-    let root, ph = Uf.find uf node in
-    if root < node then map.(root) lxor (if ph then 1 else 0)
-    else map.(node)
-  in
-  let map_lit l =
-    resolve (Aig.lit_node l) lxor (l land 1)
-  in
+  (* fanins precede their node, so their entries are already resolved *)
+  let map_lit l = map.(Aig.lit_node l) lxor (l land 1) in
   for node = ni + 1 to n - 1 do
     let root, ph = Uf.find uf node in
     if root < node then map.(node) <- map.(root) lxor (if ph then 1 else 0)

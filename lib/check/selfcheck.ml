@@ -151,30 +151,7 @@ let verify_cover ~stage ?(rng = Rng.create 0xCEC) ~circuit ~output ~vars
       let diff = Aig.xor_lit aig out_lit expected in
       Aig.set_output aig 0 diff;
       let cex =
-        let rec sim k =
-          if k = 0 then None
-          else begin
-            let words = Array.init ni (fun _ -> Rng.bits64 rng) in
-            let o = Aig.simulate aig words in
-            if o.(0) = 0L then sim (k - 1)
-            else begin
-              let rec find j =
-                if Int64.logand (Int64.shift_right_logical o.(0) j) 1L = 1L
-                then j
-                else find (j + 1)
-              in
-              let bit = find 0 in
-              let cex = Bv.create ni in
-              for i = 0 to ni - 1 do
-                Bv.set cex i
-                  (Int64.logand (Int64.shift_right_logical words.(i) bit) 1L
-                  = 1L)
-              done;
-              Some cex
-            end
-          end
-        in
-        match sim 16 with
+        match Equiv.sim_prefilter ~rng ~ni (Aig.simulate aig) with
         | Some c -> Some c
         | None -> Equiv.sat_assignment aig diff
       in

@@ -1,17 +1,12 @@
 (** Functional equivalence classes of netlist nodes.
 
-    Fraig-style, but over the 2-input-gate netlist rather than the AIG,
-    and issuing {e zero} black-box queries: candidate classes come from
-    word-parallel self-simulation under random patterns (complement pairs
-    share a class through signature canonicalisation), and each candidate
-    pair is settled by a local SAT call on a Tseitin encoding of the
-    netlist itself, with counterexamples fed back as new simulation
-    patterns. Classes are rooted at their smallest node id, so
-    substituting any member by its root literal can never create a
-    cycle.
-
-    Instrumentation: ["dataflow.sim-words"], ["dataflow.sat-calls"],
-    ["dataflow.proved"], ["dataflow.refuted"], ["dataflow.rounds"]. *)
+    Fraig over the 2-input-gate netlist rather than the AIG, issuing
+    {e zero} black-box queries: {!compute} runs the shared
+    [Lr_aig.Fraig.classes] loop under the label ["dataflow"] on a Tseitin
+    encoding of the netlist itself, with [Netlist.eval_nodes] as the
+    simulator. Complement pairs share a class; classes are rooted at
+    their smallest node id, so substituting any member by its root
+    literal can never create a cycle. *)
 
 module N = Lr_netlist.Netlist
 
@@ -30,13 +25,15 @@ type t = {
 val repr_node : t -> N.node -> N.node
 val repr_phase : t -> N.node -> bool
 
+val gate_clauses :
+  Lr_sat.Sat.t -> int -> (N.node -> int) -> N.gate -> unit
+(** [gate_clauses s x lit g]: clauses making variable [x] equal to gate
+    [g] with operand [a] read as the signed literal [lit a] (none for an
+    input). Shared by {!cnf_of_netlist} and the sweep's ODC miter. *)
+
 val cnf_of_netlist : N.t -> Lr_sat.Sat.t -> unit
 (** Tseitin encoding: node [k] is DIMACS variable [k + 1]; the constant
     nodes 0/1 are pinned by unit clauses. *)
-
-val sim_nodes : N.t -> int64 array -> int64 array
-(** Word-parallel simulation returning {e every} node's word (one input
-    word per PI), the per-node analogue of [Netlist.eval_words]. *)
 
 val compute :
   ?words:int ->

@@ -140,35 +140,13 @@ let prove_resub c z (m, ph) =
   Equivcls.cnf_of_netlist c solver;
   let cone = fanout_cone c z in
   let patched = Array.make n 0 in
-  let and2 x a b =
-    Sat.add_clause solver [ -x; a ];
-    Sat.add_clause solver [ -x; b ];
-    Sat.add_clause solver [ x; -a; -b ]
-  in
-  let xor2 x a b =
-    Sat.add_clause solver [ -x; a; b ];
-    Sat.add_clause solver [ -x; -a; -b ];
-    Sat.add_clause solver [ x; -a; b ];
-    Sat.add_clause solver [ x; a; -b ]
-  in
   for k = 0 to n - 1 do
     if k = z then patched.(k) <- (if ph then -(m + 1) else m + 1)
     else if not cone.(k) then patched.(k) <- k + 1
     else begin
       let x = Sat.new_var solver in
       patched.(k) <- x;
-      let pl a = patched.(a) in
-      match N.gate c k with
-      | N.Const _ | N.Input _ -> assert false (* no fanins, never in the cone *)
-      | N.Not a ->
-          Sat.add_clause solver [ -x; -pl a ];
-          Sat.add_clause solver [ x; pl a ]
-      | N.And2 (a, b) -> and2 x (pl a) (pl b)
-      | N.Nand2 (a, b) -> and2 (-x) (pl a) (pl b)
-      | N.Or2 (a, b) -> and2 (-x) (-pl a) (-pl b)
-      | N.Nor2 (a, b) -> and2 x (-pl a) (-pl b)
-      | N.Xor2 (a, b) -> xor2 x (pl a) (pl b)
-      | N.Xnor2 (a, b) -> xor2 (-x) (pl a) (pl b)
+      Equivcls.gate_clauses solver x (fun a -> patched.(a)) (N.gate c k)
     end
   done;
   let diffs = ref [] in
@@ -176,11 +154,7 @@ let prove_resub c z (m, ph) =
     let r = N.output c o in
     if cone.(r) then begin
       let t = Sat.new_var solver in
-      let vr = r + 1 and pr = patched.(r) in
-      Sat.add_clause solver [ -t; vr; pr ];
-      Sat.add_clause solver [ -t; -vr; -pr ];
-      Sat.add_clause solver [ t; -vr; pr ];
-      Sat.add_clause solver [ t; vr; -pr ];
+      Lr_aig.Fraig.xor_clauses solver t (r + 1) patched.(r);
       diffs := t :: !diffs
     end
   done;
@@ -192,22 +166,9 @@ let prove_resub c z (m, ph) =
 
 (* does replacing [z]'s word by [w] leave every PO word unchanged? *)
 let patched_outputs_equal c v z w =
-  let n = N.num_nodes c in
   let v' = Array.copy v in
   v'.(z) <- w;
-  for k = z + 1 to n - 1 do
-    v'.(k) <-
-      (match N.gate c k with
-      | N.Const b -> if b then -1L else 0L
-      | N.Input _ -> v'.(k)
-      | N.Not a -> Int64.lognot v'.(a)
-      | N.And2 (a, b) -> Int64.logand v'.(a) v'.(b)
-      | N.Or2 (a, b) -> Int64.logor v'.(a) v'.(b)
-      | N.Xor2 (a, b) -> Int64.logxor v'.(a) v'.(b)
-      | N.Nand2 (a, b) -> Int64.lognot (Int64.logand v'.(a) v'.(b))
-      | N.Nor2 (a, b) -> Int64.lognot (Int64.logor v'.(a) v'.(b))
-      | N.Xnor2 (a, b) -> Int64.lognot (Int64.logxor v'.(a) v'.(b)))
-  done;
+  N.eval_nodes_from c v' (z + 1);
   let ok = ref true in
   for o = 0 to N.num_outputs c - 1 do
     let r = N.output c o in
@@ -225,7 +186,8 @@ let scan_resubs ~sat_budget ~rng ~emit c =
   let ni = N.num_inputs c in
   let reach = N.reachable c in
   let blocks = Array.init 8 (fun _ -> Array.init ni (fun _ -> Rng.bits64 rng)) in
-  let sims = Array.map (fun b -> Equivcls.sim_nodes c b) blocks in
+  let sims = Array.map (N.eval_nodes c) blocks in
+  Instr.count "dataflow.sim-words" (Array.length blocks * n);
   let sim_budget = ref sim_word_budget in
   let sat_used = ref 0 in
   let continue_scan = ref true in

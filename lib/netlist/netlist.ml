@@ -232,16 +232,12 @@ let stats t =
 
 let size t = (stats t).gates2
 
-let eval_words t words =
-  if Array.length words <> num_inputs t then
-    invalid_arg "Netlist.eval_words: wrong number of input words";
-  Instr.count "sim.gate-words" t.len;
-  let v = Array.make t.len 0L in
-  v.(1) <- -1L;
-  for n = 0 to t.len - 1 do
+(* the one per-gate word match: inputs keep the word already in [v] *)
+let eval_nodes_from t v from =
+  for n = from to t.len - 1 do
     match t.gates.(n) with
     | Const b -> v.(n) <- (if b then -1L else 0L)
-    | Input i -> v.(n) <- words.(i)
+    | Input _ -> ()
     | Not a -> v.(n) <- Int64.lognot v.(a)
     | And2 (a, b) -> v.(n) <- Int64.logand v.(a) v.(b)
     | Or2 (a, b) -> v.(n) <- Int64.logor v.(a) v.(b)
@@ -249,7 +245,22 @@ let eval_words t words =
     | Nand2 (a, b) -> v.(n) <- Int64.lognot (Int64.logand v.(a) v.(b))
     | Nor2 (a, b) -> v.(n) <- Int64.lognot (Int64.logor v.(a) v.(b))
     | Xnor2 (a, b) -> v.(n) <- Int64.lognot (Int64.logxor v.(a) v.(b))
-  done;
+  done
+
+let eval_nodes t words =
+  if Array.length words <> num_inputs t then
+    invalid_arg "Netlist.eval_nodes: wrong number of input words";
+  let v = Array.make t.len 0L in
+  (* PI [i] is node [2 + i] *)
+  Array.blit words 0 v 2 (Array.length words);
+  eval_nodes_from t v 0;
+  v
+
+let eval_words t words =
+  if Array.length words <> num_inputs t then
+    invalid_arg "Netlist.eval_words: wrong number of input words";
+  Instr.count "sim.gate-words" t.len;
+  let v = eval_nodes t words in
   Array.map (fun o -> v.(o)) t.outputs
 
 let eval t a =

@@ -94,7 +94,15 @@ val eval : t -> Lr_bitvec.Bv.t -> Lr_bitvec.Bv.t
 val eval_words : t -> int64 array -> int64 array
 (** Word-parallel simulation: element [i] of the argument carries 64
     assignments' worth of PI [i]; the result likewise carries the POs.
-    This is the workhorse behind batched black-box queries. *)
+    It projects {!eval_nodes} onto the POs and counts ["sim.gate-words"]. *)
+
+val eval_nodes : t -> int64 array -> int64 array
+(** The same simulation returning every node's word, by node id: the one
+    per-gate word evaluator of netlists. Counts nothing. *)
+
+val eval_nodes_from : t -> int64 array -> node -> unit
+(** [eval_nodes_from t v k] recomputes nodes [k ..] of [v] in place,
+    keeping input words: re-simulation after overriding one node. *)
 
 val eval_many : t -> Lr_bitvec.Bv.t array -> Lr_bitvec.Bv.t array
 (** Batch of single-pattern simulations, internally packed into words. *)

@@ -32,6 +32,8 @@ module Config = Logic_regression.Config
 module Learner = Logic_regression.Learner
 module Sweep = Lr_dataflow.Sweep
 module Equiv = Lr_aig.Equiv
+module Fraig = Lr_aig.Fraig
+module Equivcls = Lr_dataflow.Equivcls
 module Fp = Lr_serve.Fingerprint
 module Scache = Lr_serve.Cache
 module Soa = Lr_kernel.Soa
@@ -641,6 +643,257 @@ let prop_fingerprint_behavioural () =
       Fp.equal f (Fp.probe (Box.of_netlist swept))
       && Fp.equal f (Fp.probe (Box.of_netlist compressed)))
 
+(* ---------------- SAT sweeping against exhaustive tables ---------------- *)
+
+(* A netlist recipe over every gate kind the netlist has (NOT and the six
+   2-input primitives, with the constants in the operand pool so the
+   builder's folds appear too) plus whole-input minterms, on at most 7
+   inputs, small enough to enumerate exhaustively. [Aig.to_netlist] alone
+   emits only AND/NOT. The engines below get one 64-pattern seed word, so
+   signatures start incomplete and SAT refutations and counterexample
+   refinement run too, not only proofs. *)
+let build_gates { ni; no; ops } =
+  let c =
+    N.create
+      ~input_names:(Array.init ni (Printf.sprintf "i%d"))
+      ~output_names:(Array.init no (Printf.sprintf "o%d"))
+  in
+  let pool =
+    ref ([ N.const_false c; N.const_true c ] @ List.init ni (N.input c))
+  in
+  let npool = ref (ni + 2) in
+  let pick k = List.nth !pool (k mod !npool) in
+  List.iter
+    (fun (kind, a, b) ->
+      let g =
+        match kind mod 8 with
+        | 7 ->
+            (* one minterm: a function random patterns rarely see, so
+               candidate classes need SAT refutation and refinement *)
+            List.fold_left
+              (fun acc i ->
+                let x = N.input c i in
+                N.and_ c acc (if (a lsr i) land 1 = 1 then x else N.not_ c x))
+              (N.const_true c) (List.init ni Fun.id)
+        | 0 -> N.not_ c (pick a)
+        | 1 -> N.and_ c (pick a) (pick b)
+        | 2 -> N.or_ c (pick a) (pick b)
+        | 3 -> N.xor_ c (pick a) (pick b)
+        | 4 -> N.nand_ c (pick a) (pick b)
+        | 5 -> N.nor_ c (pick a) (pick b)
+        | _ -> N.xnor_ c (pick a) (pick b)
+      in
+      pool := g :: !pool;
+      incr npool)
+    ops;
+  for o = 0 to no - 1 do
+    N.set_output c o (pick ((o * 7) + 3))
+  done;
+  c
+
+let arb_gate_recipe =
+  {
+    arb_recipe with
+    gen =
+      (fun rng size ->
+        let ni = 1 + Rng.int rng 7 and no = 1 + Rng.int rng 4 in
+        let ops =
+          List.init (Rng.int rng (2 * size + 2)) (fun _ ->
+              (Rng.int rng 8, Rng.int rng 1000, Rng.int rng 1000))
+        in
+        { ni; no; ops });
+  }
+
+(* every input assignment, 64 to a word: pattern [64 * b + j] sets input
+   [i] to bit [i] of the pattern; [mask] keeps the lanes that exist *)
+let exhaustive_blocks ni =
+  let blocks = max 1 ((1 lsl ni) / 64) in
+  let mask =
+    if ni >= 6 then -1L else Int64.pred (Int64.shift_left 1L (1 lsl ni))
+  in
+  ( Array.init blocks (fun b ->
+        Array.init ni (fun i ->
+            let w = ref 0L in
+            for j = 0 to 63 do
+              if ((64 * b) + j) lsr i land 1 = 1 then
+                w := Int64.logor !w (Int64.shift_left 1L j)
+            done;
+            !w)),
+    mask )
+
+(* the exhaustive table of every output, from [Netlist.eval_words] *)
+let output_tables c =
+  let blocks, mask = exhaustive_blocks (N.num_inputs c) in
+  let outs = Array.map (N.eval_words c) blocks in
+  Array.init (N.num_outputs c) (fun o ->
+      Array.map (fun w -> Int64.logand w.(o) mask) outs)
+
+(* every node's table: replay the netlist through the builder with one
+   output per node, so the oracle is [eval_words] and not the node
+   simulator the engines themselves run on *)
+let node_tables c =
+  let n = N.num_nodes c in
+  let p =
+    N.create ~input_names:(N.input_names c)
+      ~output_names:(Array.init n (Printf.sprintf "n%d"))
+  in
+  let map = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let m a = map.(a) in
+    map.(k) <-
+      (match N.gate c k with
+      | N.Const b -> if b then N.const_true p else N.const_false p
+      | N.Input i -> N.input p i
+      | N.Not a -> N.not_ p (m a)
+      | N.And2 (a, b) -> N.and_ p (m a) (m b)
+      | N.Or2 (a, b) -> N.or_ p (m a) (m b)
+      | N.Xor2 (a, b) -> N.xor_ p (m a) (m b)
+      | N.Nand2 (a, b) -> N.nand_ p (m a) (m b)
+      | N.Nor2 (a, b) -> N.nor_ p (m a) (m b)
+      | N.Xnor2 (a, b) -> N.xnor_ p (m a) (m b));
+    N.set_output p k map.(k)
+  done;
+  output_tables p
+
+(* every AIG node's table, through an AIG whose outputs are its nodes *)
+let aig_node_tables aig =
+  let n = Aig.num_nodes aig and ni = Aig.num_inputs aig in
+  let p = Aig.create ~num_inputs:ni ~num_outputs:n in
+  let map = Array.make n Aig.lit_false in
+  for i = 0 to ni - 1 do
+    map.(1 + i) <- Aig.input_lit p i
+  done;
+  let map_lit l = map.(Aig.lit_node l) lxor (l land 1) in
+  for k = ni + 1 to n - 1 do
+    let l0, l1 = Aig.fanins aig k in
+    map.(k) <- Aig.and_lit p (map_lit l0) (map_lit l1)
+  done;
+  Array.iteri (Aig.set_output p) map;
+  output_tables (Aig.to_netlist p)
+
+let complement_table mask t =
+  Array.mapi (fun b w -> Int64.logxor w (if b = 0 then mask else -1L)) t
+
+(* are the classes, read through [find] as [(root, phase)] per node,
+   exactly the tables' equalities up to phase? *)
+let classes_exact ~find ~mask tables =
+  let n = Array.length tables in
+  let ok = ref true in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      let ra, pa = find a and rb, pb = find b in
+      let equal = tables.(a) = tables.(b) in
+      let compl = tables.(a) = complement_table mask tables.(b) in
+      let shared = ra = rb in
+      if shared && pa = pb && not equal then ok := false;
+      if shared && pa <> pb && not compl then ok := false;
+      if (equal || compl) && not shared then ok := false
+    done
+  done;
+  !ok
+
+let gate_kind = function
+  | N.Const _ -> 0
+  | N.Input _ -> 1
+  | N.Not _ -> 2
+  | N.And2 _ -> 3
+  | N.Or2 _ -> 4
+  | N.Xor2 _ -> 5
+  | N.Nand2 _ -> 6
+  | N.Nor2 _ -> 7
+  | N.Xnor2 _ -> 8
+
+(* [r] with one gate's kind changed, so the pair is sometimes equivalent
+   and sometimes not *)
+let mutated r =
+  match r.ops with
+  | [] -> r
+  | ops ->
+      let k = List.length ops / 2 in
+      {
+        r with
+        ops =
+          List.mapi
+            (fun i (kind, a, b) ->
+              if i = k then ((kind + 1) mod 8, a, b) else (kind, a, b))
+            ops;
+      }
+
+let verdict_ok c1 c2 verdict =
+  match verdict with
+  | Equiv.Equivalent -> output_tables c1 = output_tables c2
+  | Equiv.Counterexample cex ->
+      output_tables c1 <> output_tables c2
+      && not (Bv.equal (N.eval c1 cex) (N.eval c2 cex))
+
+let prop_sat_sweeping_exhaustive () =
+  let kinds_seen = Array.make 9 false in
+  check_prop ~count:1000 "SAT sweeping == exhaustive tables" arb_gate_recipe
+    (fun r ->
+      let c = build_gates r in
+      for k = 0 to N.num_nodes c - 1 do
+        kinds_seen.(gate_kind (N.gate c k)) <- true
+      done;
+      let _, mask = exhaustive_blocks r.ni in
+      (* netlist classes: complete and sound, no budget hit *)
+      let e = Equivcls.compute ~words:1 ~rng:(Rng.create 61) c in
+      let netlist_ok =
+        e.Equivcls.rounds < 32
+        && e.Equivcls.sat_calls < 2000
+        && classes_exact
+             ~find:(fun k -> (Equivcls.repr_node e k, Equivcls.repr_phase e k))
+             ~mask (node_tables c)
+      in
+      (* the shared loop on the AIG, with fraig's budgets: the same
+         classes [Fraig.sweep] merges from the same rng state *)
+      let aig = Aig.of_netlist c in
+      let solver = Lr_sat.Sat.create () in
+      Fraig.cnf_of_aig aig solver;
+      let o =
+        Fraig.classes ~label:"fraig" ~words:1 ~max_rounds:64
+          ~max_sat_checks:5000 ~rng:(Rng.create 67) ~solver
+          ~input_var:(fun i -> i + 2)
+          ~num_nodes:(Aig.num_nodes aig) ~num_inputs:r.ni
+          ~sim:(Aig.simulate_nodes aig)
+          ~on_round:(fun ~classes:_ -> ())
+      in
+      let aig_ok =
+        o.Fraig.rounds < 64
+        && o.Fraig.sat_calls < 5000
+        && classes_exact ~find:(Fraig.Uf.find o.Fraig.uf) ~mask
+             (aig_node_tables aig)
+      in
+      (* fraig keeps every output and leaves no AND node equal or
+         complementary to another node *)
+      let swept = Fraig.sweep ~words:1 ~rng:(Rng.create 67) aig in
+      let fraig_ok =
+        output_tables (Aig.to_netlist swept) = output_tables c
+        &&
+        let t = aig_node_tables swept in
+        let ok = ref true in
+        for a = r.ni + 1 to Aig.num_nodes swept - 1 do
+          for b = 0 to Aig.num_nodes swept - 1 do
+            if a <> b && (t.(a) = t.(b) || t.(a) = complement_table mask t.(b))
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      (* CEC: Equivalent iff the output tables match, and every
+         counterexample separates the circuits *)
+      let c' = build_gates (mutated r) in
+      let cec_ok =
+        verdict_ok c c' (Equiv.check c c')
+        && verdict_ok c c' (Equiv.check_aig aig (Aig.of_netlist c'))
+        && verdict_ok c (Aig.to_netlist swept)
+             (Equiv.check c (Aig.to_netlist swept))
+      in
+      netlist_ok && aig_ok && fraig_ok && cec_ok);
+  Array.iteri
+    (fun k seen ->
+      if not seen then Alcotest.failf "gate kind %d never generated" k)
+    kinds_seen
+
 (* the harness must actually shrink: a seeded failing property ends at a
    local minimum, here the empty gate list *)
 let test_shrinking_works () =
@@ -681,6 +934,8 @@ let tests =
     Alcotest.test_case "circuit cache round-trip" `Quick prop_cache_roundtrip;
     Alcotest.test_case "fingerprints hash behaviour, not structure" `Quick
       prop_fingerprint_behavioural;
+    Alcotest.test_case "SAT sweeping == exhaustive tables" `Quick
+      prop_sat_sweeping_exhaustive;
     Alcotest.test_case "shrinking reaches a minimum" `Quick
       test_shrinking_works;
   ]
